@@ -55,6 +55,8 @@ from .chern import (
     connection_apply,
     curvature_power,
     graded_trace,
+    operator_boundary_character,
+    operator_component_tensor,
     run_verification_suite,
     verify_cobordism_identity,
     verify_perturbation_invariance,

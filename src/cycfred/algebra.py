@@ -16,6 +16,7 @@ vector regardless of whether the input algebra already has a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,6 +59,18 @@ class Algebra:
     @property
     def is_graded(self) -> bool:
         return self.grading is not None
+
+    @cached_property
+    def unit_index(self) -> Optional[int]:
+        """Index i with unit == e_i, or None; scanned once per algebra."""
+        if self.unit is None:
+            return None
+        for i in range(self.dim):
+            e = np.zeros(self.dim)
+            e[i] = 1.0
+            if np.allclose(self.unit, e, atol=1e-12):
+                return i
+        return None
 
 
 def same_algebra(a: Algebra, b: Algebra) -> bool:
@@ -123,14 +136,7 @@ def scalar_part(unitalized: Algebra, y) -> complex:
 
 def unit_basis_index(algebra: Algebra) -> Optional[int]:
     """Index i with unit == e_i, or None if the unit is not a basis vector."""
-    if algebra.unit is None:
-        return None
-    for i in range(algebra.dim):
-        e = np.zeros(algebra.dim)
-        e[i] = 1.0
-        if np.allclose(algebra.unit, e, atol=1e-12):
-            return i
-    return None
+    return algebra.unit_index
 
 
 def validate_algebra(algebra: Algebra, tol: float = ASSOC_TOL) -> dict:

@@ -15,8 +15,37 @@ by (m-1)!.  The lower Chern components of the chain assemble into a reduced
 cochain whose totalized coboundary is (tau_G - tau_F)/(m-1)!: an explicit
 certificate that the two index cocycles are cohomologous.
 
-Polynomial-in-t coefficients are carried exactly (integer powers of t,
-rational integrals); floating point enters only through matrix traces.
+Two routes compute the characters.
+
+The symbolic route (PerturbationChain, chern_component_tensor,
+boundary_cycle_chern) multiplies chain elements word by word, carrying
+polynomial-in-t coefficients exactly; floating point enters only through
+matrix traces.  It is the independent oracle of the test suite.
+
+The operator route (operator_component_tensor, operator_boundary_character,
+and through them witness_cochain and the verifiers) evaluates the same
+numbers in the representation.  Since FT + TF + T^2 = 0, pi(d tau) = FT + TF,
+so pi o d is the graded commutator with F, and for a word w of degree m - 1
+
+    1/2 Tr(gamma^m F pi(dw)) = Tr(gamma^m pi(w))
+
+(F gamma F = -gamma for odd m, Tr(F X F) = Tr X for even m).  Under pi,
+nabla rho(a) is C_a(t) = [F + tT, rep~(a)] and theta^c is
+s^c T^(2c) + c s^(c-1) dt T^(2c-1) with s = t^2 - t.  A product keeps one dt,
+taken from some curvature slot j; moving it to the front past j odd factors
+nabla rho gives the sign (-1)^j.  With A_i = rep~(e_i), the degree-q = m - 2k
+component at (i0, ..., iq) is
+
+    (-1)^k/(m-k)!  sum_{c weak composition of k into q + 1}
+                   sum_{j : c_j >= 1} (-1)^j c_j
+                   int_0^1 s^(k-1) Tr(gamma^m A_i0 P_0 C_i1(t) P_1 ... C_iq(t) P_q) dt
+
+with P_l = T^(2 c_l) except P_j = T^(2 c_j - 1).  The integrand is a
+polynomial of degree 2k - 2 + q in t, so Gauss-Legendre with k + floor(q/2)
+nodes integrates it exactly.  For k = 0 no slot supplies dt and the top
+component is exactly zero.  The boundary character of the side with
+symmetry G is Tr(gamma^m A_i0 [G, A_i1] ... [G, A_i(m-1)]) / (m-1)!.  Each
+term is a progressive einsum stack, as in the index cocycle.
 """
 
 from __future__ import annotations
@@ -46,6 +75,7 @@ from .cyclic import (
 from .errors import BudgetError, InputError
 from .fredholm import (
     FredholmModule,
+    commutators_tilde,
     index_cocycle,
     involution_defect,
     perturb,
@@ -484,33 +514,114 @@ def boundary_cycle_chern(module: FredholmModule, T, side: str) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
+# Operator route: the characters evaluated through pi
+# ---------------------------------------------------------------------------
+
+def _rep_tilde_basis(module: FredholmModule) -> np.ndarray:
+    """rep~ on the basis of the unitalization: rep(e_i), then the identity."""
+    return np.concatenate([module.rep, np.eye(module.n, dtype=complex)[None]])
+
+
+def _trace_stack(front: np.ndarray, factors) -> np.ndarray:
+    """sum_p Tr(front[p, i0] factors[0][p, i1] ... factors[-1][p, iq]).
+
+    Every operand is a stack over a node axis p and one basis axis; the
+    result is the tensor over (i0, ..., iq).  The last factor is folded into
+    the trace, so the full rank-(q + 1) stack of matrices is never built.
+    """
+    stack = front
+    for fac in factors[:-1]:
+        stack = np.einsum("p...ab,pjbc->p...jac", stack, fac)
+    if not factors:
+        return np.einsum("p...aa->...", stack)
+    return np.einsum("p...ab,pjba->...j", stack, factors[-1])
+
+
+def _component_values(module: FredholmModule, T: np.ndarray, k: int) -> np.ndarray:
+    """Dense degree-(m - 2k) component, k >= 1, by the operator formula."""
+    m = module.m
+    q = m - 2 * k
+    A = _rep_tilde_basis(module)
+    x, w = np.polynomial.legendre.leggauss(k + q // 2)
+    t = (x + 1.0) / 2.0
+    w = w / 2.0 * (t * t - t) ** (k - 1)
+    comm_T = T @ A - A @ T
+    C = commutators_tilde(module)[None] + t[:, None, None, None] * comm_T[None]   # C_i(t_p)
+    T_pow = [np.eye(module.n, dtype=complex)]
+    for _ in range(2 * k):
+        T_pow.append(T_pow[-1] @ T)
+    C_pow = [C @ P for P in T_pow]                                # C_i(t_p) T^e
+    front_pow = [module.gamma_eff @ A @ P for P in T_pow]         # gamma^m A_i T^e
+    values = np.zeros((A.shape[0],) * (q + 1), dtype=complex)
+    for comp in _compositions(k, q + 1):
+        for j in range(q + 1):
+            if comp[j] == 0:
+                continue
+            e = [2 * c for c in comp]
+            e[j] -= 1
+            front = w[:, None, None, None] * front_pow[e[0]][None]
+            values += (-1) ** j * comp[j] * _trace_stack(front, [C_pow[p] for p in e[1:]])
+    return (-1.0) ** k / math.factorial(m - k) * values
+
+
+def operator_component_tensor(module: FredholmModule, T, k: int) -> Cochain:
+    """The degree-(m - 2k) character component, computed through pi.
+
+    Same values as chern_component_tensor on PerturbationChain(module, T);
+    the top component (k = 0) is exactly zero.
+    """
+    m = module.m
+    if k < 0 or 2 * k > m:
+        raise InputError(f"component index k={k} outside 0..floor(m/2) for m={m}")
+    q = m - 2 * k
+    _check_budget(module.algebra.dim + 1, q)
+    T = np.asarray(T, dtype=complex)
+    perturb(module, T)                     # validates G = F + T
+    at = unitalize(module.algebra)
+    if k == 0:
+        return Cochain(at, np.zeros((at.dim,) * (q + 1), dtype=complex))
+    return Cochain(at, _component_values(module, T, k))
+
+
+def operator_boundary_character(module: FredholmModule) -> Cochain:
+    """Tr(gamma^m A_i0 [F, A_i1] ... [F, A_i(m-1)]) / (m-1)! over the unitalization.
+
+    The degree-(m-1) character of the flat boundary cycle with symmetry F:
+    boundary_cycle_chern(module, T, 'base') for the module itself and
+    boundary_cycle_chern(module, T, 'perturbed') for perturb(module, T).
+    """
+    m = module.m
+    _check_budget(module.algebra.dim + 1, m - 1)
+    front = module.gamma_eff @ _rep_tilde_basis(module)
+    values = _trace_stack(front[None], [commutators_tilde(module)[None]] * (m - 1))
+    return Cochain(unitalize(module.algebra), values / math.factorial(m - 1))
+
+
+# ---------------------------------------------------------------------------
 # The witness and the verifiers
 # ---------------------------------------------------------------------------
 
 def witness_cochain(module: FredholmModule, T):
     """The reduced cochain whose coboundary is (tau_G - tau_F)/(m-1)!.
 
-    Components are the lower character components of the perturbation chain;
-    for even m the degree-0 component is corrected by its value on the
-    adjoined unit so that the restriction to scalars vanishes identically.
-    Returns None for m = 1, where the witness is empty and the index
-    cocycles agree entrywise.
+    Components are the lower character components of the perturbation chain,
+    computed by the operator route; for even m the degree-0 component is
+    corrected by its value on the adjoined unit so that the restriction to
+    scalars vanishes identically.  Returns None for m = 1, where the witness
+    is empty and the index cocycles agree entrywise.
     """
-    chain = PerturbationChain(module, T)
-    m = chain.m
+    m = module.m
+    if m >= 2:
+        _check_budget(module.algebra.dim + 1, m - 2)   # the largest component
+    T = np.asarray(T, dtype=complex)
+    perturb(module, T)                     # validates G = F + T
     if m == 1:
         return None
-    comps = []
-    deg = m - 2
-    while deg >= 0:
-        comps.append(chern_component_tensor(chain, (m - deg) // 2).values)
-        deg -= 2
+    at = unitalize(module.algebra)
+    comps = [_component_values(module, T, k) for k in range(1, m // 2 + 1)]
     if m % 2 == 0:
-        low = comps[-1]
-        corrected = low.copy()
-        corrected[chain.unit_idx] = 0.0
-        comps[-1] = corrected
-    return TotalCochain(chain.at, tuple(comps))
+        comps[-1][at.dim - 1] = 0.0        # the adjoined unit is the last basis vector
+    return TotalCochain(at, tuple(comps))
 
 
 def _max_component_abs(x: TotalCochain):
@@ -536,34 +647,40 @@ def verify_perturbation_invariance(module: FredholmModule, T, tol: float = 1e-8)
     components.  For m = 1 the statement degenerates to entrywise equality
     of the index cocycles.
     """
-    m = module.m
     perturbed = perturb(module, T)
-    tau_f = index_cocycle(module)
-    tau_g = index_cocycle(perturbed)
-    target = total_scale(
-        total_sub(total_from_top(tau_g), total_from_top(tau_f)),
-        1.0 / math.factorial(m - 1),
-    )
+    return _invariance_report(module, T, perturbed, index_cocycle(module),
+                              index_cocycle(perturbed), tol)
+
+
+def _invariance_report(module: FredholmModule, T, perturbed: FredholmModule,
+                       tau_f: Cochain, tau_g: Cochain, tol: float) -> dict:
+    """verify_perturbation_invariance on already validated modules and cocycles."""
+    m = module.m
+    T = np.asarray(T, dtype=complex)
     report = {
         "m": m,
-        "involution_defect": involution_defect(module.F, np.asarray(T, dtype=complex)),
+        "involution_defect": involution_defect(module.F, T),
         "schatten_base": schatten_report(module),
         "schatten_perturbed": schatten_report(perturbed),
-        "perturbation_m_norm": schatten_norm(np.asarray(T, dtype=complex), m),
+        "perturbation_m_norm": schatten_norm(T, m),
     }
     if m == 1:
-        resid = float(np.abs(tau_g.values - tau_f.values).max())
+        diff = np.abs(tau_g.values - tau_f.values)
+        resid = float(diff.max())
         report.update(
             {
                 "witness_degrees": [],
                 "max_residual": resid,
-                "worst_tuple": tuple(int(t) for t in np.unravel_index(
-                    np.abs(tau_g.values - tau_f.values).argmax(), tau_f.values.shape)),
+                "worst_tuple": tuple(int(t) for t in np.unravel_index(diff.argmax(), diff.shape)),
                 "reduced": True,
                 "pass": resid <= tol,
             }
         )
         return report
+    target = total_scale(
+        total_sub(total_from_top(tau_g), total_from_top(tau_f)),
+        1.0 / math.factorial(m - 1),
+    )
     psi = witness_cochain(module, T)
     lhs = total_coboundary(psi)
     resid, worst = _max_component_abs(total_sub(lhs, target))
@@ -626,6 +743,9 @@ def run_verification_suite(module: FredholmModule, T, tol_structural: float = 1e
         return report
     perturbed = perturb(module, T, tol=tol_structural)
     report["perturbed_module"] = validate_module(perturbed, tol=tol_structural)
+    if not report["perturbed_module"]["pass"]:
+        # G breaking the module axioms is invalid input, not a failed check
+        raise InputError(f"invalid Fredholm module: {report['perturbed_module']['checks']}")
 
     # complex identities at the largest degree the budget allows
     ident_degree = 1
@@ -648,8 +768,8 @@ def run_verification_suite(module: FredholmModule, T, tol_structural: float = 1e
         "pass": worst_ident <= tol_structural,
     }
 
-    tau_f = index_cocycle(module)
-    tau_g = index_cocycle(perturbed)
+    tau_f = index_cocycle(module, validated=True)
+    tau_g = index_cocycle(perturbed, validated=True)
     cocycle_resid = max(
         total_coboundary(total_from_top(tau_f)).max_abs(),
         total_coboundary(total_from_top(tau_g)).max_abs(),
@@ -661,17 +781,16 @@ def run_verification_suite(module: FredholmModule, T, tol_structural: float = 1e
 
     fact = math.factorial(m - 1)
     lemma_resid = max(
-        float(np.abs(fact * boundary_cycle_chern(module, T, "base").values - tau_f.values).max()),
-        float(np.abs(fact * boundary_cycle_chern(module, T, "perturbed").values - tau_g.values).max()),
+        float(np.abs(fact * operator_boundary_character(module).values - tau_f.values).max()),
+        float(np.abs(fact * operator_boundary_character(perturbed).values - tau_g.values).max()),
     )
     report["boundary_character"] = {"max_residual": lemma_resid, "pass": lemma_resid <= tol_derived}
 
-    chain = PerturbationChain(module, T)
-    top = chern_component_tensor(chain, 0)
+    top = operator_component_tensor(module, T, 0)
     top_max = float(np.abs(top.values).max())
     report["top_component"] = {"max_abs": top_max, "pass": top_max == 0.0}
 
-    report["witness"] = verify_perturbation_invariance(module, T, tol=tol_witness)
+    report["witness"] = _invariance_report(module, T, perturbed, tau_f, tau_g, tol_witness)
     report["witness"].pop("witness", None)
 
     report["pass"] = all(

@@ -202,11 +202,6 @@ def tau(algebra: Algebra) -> DGAElement:
     return element(algebra, {((T,),): 1.0})
 
 
-def d_of_vector(algebra: Algebra, x) -> DGAElement:
-    x = as_element(algebra, x)
-    return element(algebra, {((DA, i),): x[i] for i in range(algebra.dim) if x[i] != 0})
-
-
 def word_multiply(x: DGAElement, y: DGAElement) -> DGAElement:
     """Concatenation product with letter fusion; degree adds."""
     _require_same(x, y)
@@ -241,13 +236,6 @@ def differential(x: DGAElement) -> DGAElement:
         for w, s in _d_word(word, unit_idx):
             terms[w] = terms.get(w, 0.0) + s * coeff
     return element(x.algebra, terms)
-
-
-def commutator_with_tau(x: DGAElement) -> DGAElement:
-    """Graded commutator [tau, x] on a homogeneous element."""
-    t = tau(x.algebra)
-    sign = (-1) ** x.degree
-    return word_multiply(t, x) - word_multiply(x, t).scale(sign)
 
 
 def pi_represent(module: FredholmModule, T_op: np.ndarray, x: DGAElement) -> np.ndarray:

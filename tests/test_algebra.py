@@ -8,6 +8,7 @@ from cycfred.algebra import (
     multiply,
     pointwise_algebra,
     random_element,
+    scalar_algebra,
     scalar_part,
     truncated_polynomial_algebra,
     unit_basis_index,
@@ -63,6 +64,29 @@ def test_unitalize_projection_and_embedding():
     lhs = multiply(at, embed_element(alg, a), embed_element(alg, b))
     rhs = embed_element(alg, multiply(alg, a, b))
     assert np.allclose(lhs, rhs)
+
+
+def _scan_unit_index(alg):
+    for i in range(alg.dim):
+        if alg.unit is not None and np.allclose(alg.unit, np.eye(alg.dim)[i], atol=1e-12):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("alg", [
+    pointwise_algebra(3),
+    matrix_units_algebra(2),
+    upper_triangular_algebra(),
+    zero_product_algebra(2),
+    truncated_polynomial_algebra(3),
+    scalar_algebra(),
+])
+def test_cached_unit_index_matches_fresh_scan(alg):
+    for a in (alg, unitalize(alg)):
+        assert unit_basis_index(a) == _scan_unit_index(a)
+    at = unitalize(alg)
+    assert unit_basis_index(at) == at.dim - 1
+    assert vars(at)["unit_index"] == at.dim - 1      # stored on the instance
 
 
 def test_unitalization_unit_is_two_sided_identity():
