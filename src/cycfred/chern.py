@@ -45,7 +45,9 @@ polynomial of degree 2k - 2 + q in t, so Gauss-Legendre with k + floor(q/2)
 nodes integrates it exactly.  For k = 0 no slot supplies dt and the top
 component is exactly zero.  The boundary character of the side with
 symmetry G is Tr(gamma^m A_i0 [G, A_i1] ... [G, A_i(m-1)]) / (m-1)!.  Each
-term is a progressive einsum stack, as in the index cocycle.
+term is one call of fredholm.trace_stack over the stacked rep~ basis
+(fredholm.rep_tilde_basis), the progressive-trace kernel that also computes
+the index cocycle.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import numpy as np
 from . import dga
 from .algebra import Algebra, unitalize, unit_basis_index, as_element
 from .cyclic import (
+    MAX_IDENTITY_ENTRIES,
     Cochain,
     TotalCochain,
     _check_budget,
@@ -79,8 +82,10 @@ from .fredholm import (
     index_cocycle,
     involution_defect,
     perturb,
+    rep_tilde_basis,
+    require_valid,
     schatten_norm,
-    schatten_report,
+    trace_stack,
     validate_module,
 )
 
@@ -517,31 +522,11 @@ def boundary_cycle_chern(module: FredholmModule, T, side: str) -> Cochain:
 # Operator route: the characters evaluated through pi
 # ---------------------------------------------------------------------------
 
-def _rep_tilde_basis(module: FredholmModule) -> np.ndarray:
-    """rep~ on the basis of the unitalization: rep(e_i), then the identity."""
-    return np.concatenate([module.rep, np.eye(module.n, dtype=complex)[None]])
-
-
-def _trace_stack(front: np.ndarray, factors) -> np.ndarray:
-    """sum_p Tr(front[p, i0] factors[0][p, i1] ... factors[-1][p, iq]).
-
-    Every operand is a stack over a node axis p and one basis axis; the
-    result is the tensor over (i0, ..., iq).  The last factor is folded into
-    the trace, so the full rank-(q + 1) stack of matrices is never built.
-    """
-    stack = front
-    for fac in factors[:-1]:
-        stack = np.einsum("p...ab,pjbc->p...jac", stack, fac)
-    if not factors:
-        return np.einsum("p...aa->...", stack)
-    return np.einsum("p...ab,pjba->...j", stack, factors[-1])
-
-
 def _component_values(module: FredholmModule, T: np.ndarray, k: int) -> np.ndarray:
     """Dense degree-(m - 2k) component, k >= 1, by the operator formula."""
     m = module.m
     q = m - 2 * k
-    A = _rep_tilde_basis(module)
+    A = rep_tilde_basis(module)
     x, w = np.polynomial.legendre.leggauss(k + q // 2)
     t = (x + 1.0) / 2.0
     w = w / 2.0 * (t * t - t) ** (k - 1)
@@ -560,7 +545,7 @@ def _component_values(module: FredholmModule, T: np.ndarray, k: int) -> np.ndarr
             e = [2 * c for c in comp]
             e[j] -= 1
             front = w[:, None, None, None] * front_pow[e[0]][None]
-            values += (-1) ** j * comp[j] * _trace_stack(front, [C_pow[p] for p in e[1:]])
+            values += (-1) ** j * comp[j] * trace_stack(front, [C_pow[p] for p in e[1:]])
     return (-1.0) ** k / math.factorial(m - k) * values
 
 
@@ -592,8 +577,8 @@ def operator_boundary_character(module: FredholmModule) -> Cochain:
     """
     m = module.m
     _check_budget(module.algebra.dim + 1, m - 1)
-    front = module.gamma_eff @ _rep_tilde_basis(module)
-    values = _trace_stack(front[None], [commutators_tilde(module)[None]] * (m - 1))
+    front = module.gamma_eff @ rep_tilde_basis(module)
+    values = trace_stack(front[None], [commutators_tilde(module)[None]] * (m - 1))
     return Cochain(unitalize(module.algebra), values / math.factorial(m - 1))
 
 
@@ -648,54 +633,36 @@ def verify_perturbation_invariance(module: FredholmModule, T, tol: float = 1e-8)
     of the index cocycles.
     """
     perturbed = perturb(module, T)
-    return _invariance_report(module, T, perturbed, index_cocycle(module),
-                              index_cocycle(perturbed), tol)
+    valid_f, valid_g = require_valid(module), require_valid(perturbed)
+    return _invariance_report(module, T, valid_f, valid_g, index_cocycle(module, validated=True),
+                              index_cocycle(perturbed, validated=True), tol)
 
 
-def _invariance_report(module: FredholmModule, T, perturbed: FredholmModule,
+def _invariance_report(module: FredholmModule, T, valid_f: dict, valid_g: dict,
                        tau_f: Cochain, tau_g: Cochain, tol: float) -> dict:
-    """verify_perturbation_invariance on already validated modules and cocycles."""
+    """verify_perturbation_invariance on modules already validated (valid_f
+    for F, valid_g for G = F + T) and their index cocycles."""
     m = module.m
     T = np.asarray(T, dtype=complex)
-    report = {
+    target = total_scale(total_sub(total_from_top(tau_g), total_from_top(tau_f)),
+                         1.0 / math.factorial(m - 1))
+    psi = witness_cochain(module, T)       # None for m = 1: the cocycles must agree
+    resid, worst = _max_component_abs(
+        target if psi is None else total_sub(total_coboundary(psi), target))
+    reduced = psi is None or is_reduced(psi, tol=0.0)
+    return {
         "m": m,
         "involution_defect": involution_defect(module.F, T),
-        "schatten_base": schatten_report(module),
-        "schatten_perturbed": schatten_report(perturbed),
+        "schatten_base": valid_f["schatten"],
+        "schatten_perturbed": valid_g["schatten"],
         "perturbation_m_norm": schatten_norm(T, m),
+        "witness_degrees": [] if psi is None else [c.ndim - 1 for c in psi.components],
+        "max_residual": resid,
+        "worst_tuple": worst,
+        "reduced": reduced,
+        "pass": bool(resid <= tol and reduced),
+        "witness": psi,
     }
-    if m == 1:
-        diff = np.abs(tau_g.values - tau_f.values)
-        resid = float(diff.max())
-        report.update(
-            {
-                "witness_degrees": [],
-                "max_residual": resid,
-                "worst_tuple": tuple(int(t) for t in np.unravel_index(diff.argmax(), diff.shape)),
-                "reduced": True,
-                "pass": resid <= tol,
-            }
-        )
-        return report
-    target = total_scale(
-        total_sub(total_from_top(tau_g), total_from_top(tau_f)),
-        1.0 / math.factorial(m - 1),
-    )
-    psi = witness_cochain(module, T)
-    lhs = total_coboundary(psi)
-    resid, worst = _max_component_abs(total_sub(lhs, target))
-    reduced = is_reduced(psi, tol=0.0)
-    report.update(
-        {
-            "witness_degrees": [c.ndim - 1 for c in psi.components],
-            "max_residual": resid,
-            "worst_tuple": worst,
-            "reduced": reduced,
-            "pass": bool(resid <= tol and reduced),
-        }
-    )
-    report["witness"] = psi
-    return report
 
 
 def verify_cobordism_identity(chain: PerturbationChain, tol: float = 1e-8) -> dict:
@@ -707,8 +674,10 @@ def verify_cobordism_identity(chain: PerturbationChain, tol: float = 1e-8) -> di
     """
     m = chain.m
     d = chain.at.dim
-    if d ** (m + 2) > 20_000_000 or m + 1 > 6:
-        raise BudgetError(f"cobordism check at dim {d}, m {m} exceeds the tensor budget")
+    try:
+        _check_budget(d, m + 1)
+    except BudgetError as exc:
+        raise BudgetError(f"cobordism check at dim {d}, m {m}: {exc}") from None
     lhs = total_coboundary(chern_character(chain))
     ch_g = total_from_top(boundary_cycle_chern(chain.module, chain.T, "perturbed"))
     ch_f = total_from_top(boundary_cycle_chern(chain.module, chain.T, "base"))
@@ -742,14 +711,12 @@ def run_verification_suite(module: FredholmModule, T, tol_structural: float = 1e
         report["pass"] = False
         return report
     perturbed = perturb(module, T, tol=tol_structural)
-    report["perturbed_module"] = validate_module(perturbed, tol=tol_structural)
-    if not report["perturbed_module"]["pass"]:
-        # G breaking the module axioms is invalid input, not a failed check
-        raise InputError(f"invalid Fredholm module: {report['perturbed_module']['checks']}")
+    # G breaking the module axioms is invalid input, not a failed check
+    report["perturbed_module"] = require_valid(perturbed, tol=tol_structural)
 
     # complex identities at the largest degree the budget allows
     ident_degree = 1
-    while ident_degree < 4 and at.dim ** (ident_degree + 3) <= 500_000:
+    while ident_degree < 4 and at.dim ** (ident_degree + 3) <= MAX_IDENTITY_ENTRIES:
         ident_degree += 1
     worst_ident = 0.0
     for _ in range(identity_samples):
@@ -790,7 +757,8 @@ def run_verification_suite(module: FredholmModule, T, tol_structural: float = 1e
     top_max = float(np.abs(top.values).max())
     report["top_component"] = {"max_abs": top_max, "pass": top_max == 0.0}
 
-    report["witness"] = _invariance_report(module, T, perturbed, tau_f, tau_g, tol_witness)
+    report["witness"] = _invariance_report(module, T, report["module"], report["perturbed_module"],
+                                           tau_f, tau_g, tol_witness)
     report["witness"].pop("witness", None)
 
     report["pass"] = all(

@@ -22,8 +22,10 @@ from .chern import (
     verify_perturbation_invariance,
     witness_cochain,
 )
+from .cyclic import MAX_M, MAX_N
 from .errors import BudgetError, InputError
-from .pairing import chern_pairing, antisym_cycle, mult_char_exponentials, lattice_reduce
+from .fredholm import perturb
+from .pairing import c_constant, mult_char_exponentials, lattice_reduce
 from .serialize import (
     array_from_json,
     array_to_json,
@@ -34,16 +36,18 @@ from .serialize import (
     module_to_json,
 )
 
-MAX_N = 64
-MAX_M = 6
 
-
-def _check_run_budget(module, budget_n):
-    cap = budget_n or MAX_N
+def _load_module(args):
+    """The module file of a run, checked against the budgets and --m."""
+    module = module_from_json(load_json(args.module))
+    cap = args.budget_n or MAX_N
     if module.n > cap:
         raise BudgetError(f"Hilbert dimension {module.n} exceeds the budget {cap}")
     if module.m > MAX_M:
         raise BudgetError(f"summability degree {module.m} exceeds the budget {MAX_M}")
+    if args.m and args.m != module.m:
+        raise InputError(f"--m {args.m} disagrees with the module file (m={module.m})")
+    return module
 
 
 def _algebra_by_name(name: str):
@@ -90,10 +94,7 @@ def _load_perturbation(args, module):
 
 
 def cmd_verify(args) -> int:
-    module = module_from_json(load_json(args.module))
-    _check_run_budget(module, args.budget_n)
-    if args.m and args.m != module.m:
-        raise InputError(f"--m {args.m} disagrees with the module file (m={module.m})")
+    module = _load_module(args)
     T = _load_perturbation(args, module)
     report = run_verification_suite(module, T, tol_witness=args.tol, seed=args.seed)
     if args.dump_witness:
@@ -107,22 +108,19 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _terms(x) -> list:
+    return [f"t^{k}{' dt' if e else ''} (x) {dga.word_str(w, c)}"
+            for (k, e, w), c in sorted(x.terms.items(), key=str)]
+
+
 def _witness_dump(module, T) -> dict:
     chain = PerturbationChain(module, T)
-    theta = curvature(chain)
     dump = {
-        "curvature_terms": [
-            f"t^{k}{' dt' if e else ''} (x) {dga.word_str(w, c)}"
-            for (k, e, w), c in sorted(theta.terms.items(), key=str)
-        ],
-        "connection_on_generators": {},
+        "curvature_terms": _terms(curvature(chain)),
+        "connection_on_generators": {
+            chain.at.labels[i]: _terms(chain.nabla_rho_basis(i)) for i in range(chain.at.dim)
+        },
     }
-    for i in range(chain.at.dim):
-        nab = chain.nabla_rho_basis(i)
-        dump["connection_on_generators"][chain.at.labels[i]] = [
-            f"t^{k}{' dt' if e else ''} (x) {dga.word_str(w, c)}"
-            for (k, e, w), c in sorted(nab.terms.items(), key=str)
-        ]
     psi = witness_cochain(module, T)
     dump["witness_components"] = (
         [] if psi is None else [array_to_json(c) for c in psi.components]
@@ -131,8 +129,7 @@ def _witness_dump(module, T) -> dict:
 
 
 def cmd_witness(args) -> int:
-    module = module_from_json(load_json(args.module))
-    _check_run_budget(module, args.budget_n)
+    module = _load_module(args)
     T = _load_perturbation(args, module)
     report = verify_perturbation_invariance(module, T, tol=args.tol)
     psi = report.pop("witness", None)
@@ -154,16 +151,14 @@ def cmd_witness(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    module = module_from_json(load_json(args.module))
-    _check_run_budget(module, args.budget_n)
-    if args.m and args.m != module.m:
-        raise InputError(f"--m {args.m} disagrees with the module file (m={module.m})")
+    module = _load_module(args)
     data = load_json(args.logs)
     logs = [array_from_json(v) for v in data["logs"]]
     exponents = [array_from_json(v) for v in data.get("exponents", data["logs"])]
     value = mult_char_exponentials(module, exponents, logs, tol=args.tol or 1e-9)
     reduced = lattice_reduce(value.representative, module.m)
-    raw_pairing = chern_pairing(module, antisym_cycle(module.algebra, logs))
+    # the same contraction before the c(m) scale; c(m) is never zero
+    raw_pairing = value.representative / complex(c_constant(module.m))
     out = {
         "representative": [value.representative.real, value.representative.imag],
         "reduced_representative": [reduced.representative.real, reduced.representative.imag],
@@ -171,10 +166,7 @@ def cmd_pair(args) -> int:
         "raw_pairing": [raw_pairing.real, raw_pairing.imag],
     }
     if args.perturbation:
-        T = array_from_json(load_json(args.perturbation)["T"])
-        from .fredholm import perturb
-
-        perturbed = perturb(module, T)
+        perturbed = perturb(module, _load_perturbation(args, module))
         post = mult_char_exponentials(perturbed, exponents, logs, tol=args.tol or 1e-9)
         out["representative_after_perturbation"] = [
             post.representative.real, post.representative.imag,

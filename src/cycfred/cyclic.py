@@ -32,8 +32,12 @@ import numpy as np
 from .algebra import Algebra, same_algebra, scalar_algebra, as_element
 from .errors import BudgetError, InputError
 
-MAX_DEGREE = 6
-MAX_TENSOR_ENTRIES = 20_000_000
+# The budget table of the package, checked before any allocation.
+MAX_DEGREE = 6                   # cochain degree
+MAX_TENSOR_ENTRIES = 20_000_000  # entries of one dense cochain tensor
+MAX_IDENTITY_ENTRIES = 500_000   # dim^(degree + 3) of the sampled b/B identity checks
+MAX_N = 64                       # Hilbert dimension of a command-line run (--budget-n overrides)
+MAX_M = 6                        # summability degree of a command-line run
 
 
 def _check_budget(dim: int, degree: int):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, as_element, unit_basis_index
+from .algebra import Algebra, as_element, same_algebra, unit_basis_index
 from .errors import InputError
 from .fredholm import FredholmModule, schatten_norm
 
@@ -169,7 +169,7 @@ class DGAElement:
 
 
 def _require_same(x: DGAElement, y: DGAElement):
-    if x.algebra is not y.algebra and not np.array_equal(x.algebra.structure, y.algebra.structure):
+    if not same_algebra(x.algebra, y.algebra):
         raise InputError("operands live over different algebras")
 
 

@@ -11,6 +11,9 @@ The central object is the index cocycle
     tau(x0, ..., x_{m-1}) = 1/2 Tr(gamma^m F [F, x0] ... [F, x_{m-1}])
 
 a degree-(m-1) cochain over A~ whose class is the Chern-Connes character.
+Every operator-level quantity (the index cocycle here, the characters in
+cycfred.chern) is a trace of products over the stacked rep~ basis, computed
+by the one kernel trace_stack of this module.
 Schatten conditions are automatic in finite dimensions; the module records
 the m-Schatten norms of the commutators anyway, as the continuity data of
 the Banach-algebra picture.
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Algebra, unitalize, validate_algebra
+from .algebra import Algebra, same_algebra, unitalize, validate_algebra
 from .cyclic import Cochain, TotalCochain, total_from_top, _check_budget
 from .errors import InputError
 
@@ -87,9 +90,10 @@ class SchattenReport:
     operator_norms: tuple        # ||rep(e_i)|| per generator
     combined_norms: tuple        # ||rep(e_i)|| + ||[F, rep(e_i)]||_m
 
-    @property
-    def max_commutator_norm(self) -> float:
-        return max(self.commutator_norms) if self.commutator_norms else 0.0
+
+def rep_tilde_basis(module: FredholmModule) -> np.ndarray:
+    """rep~ on the basis of the unitalization: rep(e_i), then the identity."""
+    return np.concatenate([module.rep, np.eye(module.n, dtype=complex)[None]])
 
 
 def rep_tilde(module: FredholmModule, x) -> np.ndarray:
@@ -97,28 +101,36 @@ def rep_tilde(module: FredholmModule, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (module.algebra.dim + 1,):
         raise InputError("rep_tilde expects a coefficient vector over the unitalization")
-    return np.tensordot(x[:-1], module.rep, axes=(0, 0)) + x[-1] * np.eye(module.n)
+    return np.tensordot(x, rep_tilde_basis(module), axes=(0, 0))
 
 
 def commutators_tilde(module: FredholmModule) -> np.ndarray:
-    """[F, rep(e_i)] over the basis of A~ (zero in the adjoined-unit slot)."""
-    d = module.algebra.dim
-    out = np.zeros((d + 1, module.n, module.n), dtype=complex)
-    for i in range(d):
-        out[i] = module.F @ module.rep[i] - module.rep[i] @ module.F
-    return out
+    """[F, rep~(e_i)] over the basis of A~ (zero in the adjoined-unit slot)."""
+    A = rep_tilde_basis(module)
+    return module.F @ A - A @ module.F
 
 
-def schatten_report(module: FredholmModule, F: Optional[np.ndarray] = None) -> SchattenReport:
-    F = module.F if F is None else F
-    comm, op, both = [], [], []
-    for i in range(module.algebra.dim):
-        c = schatten_norm(F @ module.rep[i] - module.rep[i] @ F, module.m)
-        o = operator_norm(module.rep[i])
-        comm.append(c)
-        op.append(o)
-        both.append(o + c)
-    return SchattenReport(module.m, tuple(comm), tuple(op), tuple(both))
+def trace_stack(front: np.ndarray, factors) -> np.ndarray:
+    """sum_p Tr(front[p, i0] factors[0][p, i1] ... factors[-1][p, iq]).
+
+    The progressive-trace kernel of every operator-level quantity.  Each
+    operand is a stack over a node axis p and one basis axis; the result is
+    the tensor over (i0, ..., iq).  The last factor is folded into the trace,
+    so the full rank-(q + 1) stack of matrices is never built.
+    """
+    stack = front
+    for fac in factors[:-1]:
+        stack = np.einsum("p...ab,pjbc->p...jac", stack, fac)
+    if not factors:
+        return np.einsum("p...aa->...", stack)
+    return np.einsum("p...ab,pjba->...j", stack, factors[-1])
+
+
+def schatten_report(module: FredholmModule) -> SchattenReport:
+    comm = [schatten_norm(c, module.m) for c in commutators_tilde(module)[:-1]]
+    op = [operator_norm(a) for a in module.rep]
+    return SchattenReport(module.m, tuple(comm), tuple(op),
+                          tuple(o + c for o, c in zip(op, comm)))
 
 
 def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict:
@@ -154,11 +166,8 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
             operator_norm(g @ module.rep[i] - module.rep[i] @ g)
             for i in range(module.algebra.dim)
         ) if module.algebra.dim else 0.0
-        eig = np.linalg.eigvalsh(g)
-        plus, minus = int((eig > 0).sum()), int((eig < 0).sum())
-    else:
-        eig = np.linalg.eigvalsh((F + F.conj().T) / 2)
-        plus, minus = int((eig > 0).sum()), int((eig < 0).sum())
+    eig = np.linalg.eigvalsh(module.gamma if module.graded else (F + F.conj().T) / 2)
+    plus, minus = int((eig > 0).sum()), int((eig < 0).sum())
 
     max_violation = max(checks.values())
     report = {
@@ -172,34 +181,30 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
         ),
         "schatten": schatten_report(module),
         "algebra": validate_algebra(module.algebra),
-        "pass": bool(max_violation <= tol) and plus >= 1 and minus >= 1,
     }
-    report["pass"] = report["pass"] and report["algebra"]["pass"]
+    report["pass"] = bool(max_violation <= tol and report["eigenspaces_nonzero"]
+                          and report["algebra"]["pass"])
+    return report
+
+
+def require_valid(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict:
+    """validate_module, raising InputError when the module fails it."""
+    report = validate_module(module, tol=tol)
+    if not report["pass"]:
+        raise InputError(f"invalid Fredholm module: {report['checks']}")
     return report
 
 
 def index_cocycle(module: FredholmModule, validated: bool = False) -> Cochain:
     """Dense degree-(m-1) index cocycle tensor over the unitalization."""
     if not validated:
-        rep_report = validate_module(module)
-        if not rep_report["pass"]:
-            raise InputError(f"invalid Fredholm module: {rep_report['checks']}")
-    at = unitalize(module.algebra)
+        require_valid(module)
     m = module.m
-    _check_budget(at.dim, m - 1)
+    _check_budget(module.algebra.dim + 1, m - 1)
     comm = commutators_tilde(module)
-    front = module.gamma_eff @ module.F / 2.0
-    # Progressive contraction: stack[i0...ik] = front C_{i0} ... C_{ik};
-    # the final factor is folded into the trace to avoid materializing the
-    # full rank-m stack of matrices.
-    stack = np.einsum("ab,ibc->iac", front, comm)
-    for _ in range(m - 2):
-        stack = np.einsum("...ab,jbc->...jac", stack, comm)
-    if m == 1:
-        values = np.trace(stack, axis1=-2, axis2=-1)
-    else:
-        values = np.einsum("...ab,jba->...j", stack, comm)
-    return Cochain(at, values)
+    front = module.gamma_eff @ module.F / 2.0 @ comm
+    values = trace_stack(front[None], [comm[None]] * (m - 1))
+    return Cochain(unitalize(module.algebra), values)
 
 
 def index_cocycle_total(module: FredholmModule, validated: bool = False) -> TotalCochain:
@@ -208,7 +213,7 @@ def index_cocycle_total(module: FredholmModule, validated: bool = False) -> Tota
 
 
 def direct_sum(m1: FredholmModule, m2: FredholmModule) -> FredholmModule:
-    if not (m1.algebra is m2.algebra or np.array_equal(m1.algebra.structure, m2.algebra.structure)):
+    if not same_algebra(m1.algebra, m2.algebra):
         raise InputError("direct sum needs modules over the same algebra")
     if m1.m != m2.m:
         raise InputError(f"direct sum needs equal summability degrees, got {m1.m} and {m2.m}")
@@ -372,10 +377,7 @@ def universal_embed(module: FredholmModule, tol: float = STRUCTURAL_TOL):
     generator, the norm of the universal Banach algebra.
     """
     n = module.n
-    if module.graded:
-        w, v = np.linalg.eigh(module.gamma)
-    else:
-        w, v = np.linalg.eigh((module.F + module.F.conj().T) / 2)
+    w, v = np.linalg.eigh(module.gamma if module.graded else (module.F + module.F.conj().T) / 2)
     plus = [i for i in range(n) if w[i] > 0]
     minus = [i for i in range(n) if w[i] <= 0]
     p, q = len(plus), len(minus)
@@ -384,6 +386,7 @@ def universal_embed(module: FredholmModule, tol: float = STRUCTURAL_TOL):
             f"universal embedding needs both eigenspaces nonzero, got dims ({p}, {q})"
         )
 
+    split = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
     if module.graded:
         if p != q:
             raise InputError("graded splitting must be balanced: F maps H+ onto H-")
@@ -393,12 +396,11 @@ def universal_embed(module: FredholmModule, tol: float = STRUCTURAL_TOL):
         F_model = np.zeros((n, n), dtype=complex)
         F_model[:p, p:] = np.eye(p)
         F_model[p:, :p] = np.eye(p)
-        gamma_model = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
+        gamma_model = split
     else:
         # eigenvalue +1 block first, original column order inside each block
         basis = np.hstack([v[:, plus], v[:, minus]])
-        F_model = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-        gamma_model = None
+        F_model, gamma_model = split, None
 
     rep = np.einsum("ab,ibc,cd->iad", basis.conj().T, module.rep, basis)
     F_check = basis.conj().T @ module.F @ basis
@@ -406,14 +408,7 @@ def universal_embed(module: FredholmModule, tol: float = STRUCTURAL_TOL):
         raise InputError("eigenbasis split failed to bring F to the model form")
 
     embedded = EmbeddedModule(basis, rep, F_model, gamma_model, p, q)
-    comm, op, both = [], [], []
-    for i in range(module.algebra.dim):
-        c = schatten_norm(F_model @ rep[i] - rep[i] @ F_model, module.m)
-        o = operator_norm(rep[i])
-        comm.append(c)
-        op.append(o)
-        both.append(o + c)
-    return embedded, SchattenReport(module.m, tuple(comm), tuple(op), tuple(both))
+    return embedded, schatten_report(embedded_as_module(module, embedded))
 
 
 def embedded_as_module(module: FredholmModule, embedded: EmbeddedModule) -> FredholmModule:

@@ -23,10 +23,31 @@ def array_to_json(a: np.ndarray):
 
 
 def array_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"complex arrays must be nested [re, im] number pairs: {exc}") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError("complex arrays must be nested [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise InputError("complex arrays must have finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _typed(value, kind: type, what: str):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _square(data, n: int, what: str) -> np.ndarray:
+    try:
+        a = array_from_json(data)
+    except InputError as exc:
+        raise InputError(f"{what}: {exc}") from None
+    if a.shape != (n, n):
+        raise InputError(f"{what} has shape {a.shape}, expected ({n}, {n})")
+    return a
 
 
 def algebra_to_json(algebra: Algebra) -> dict:
@@ -40,12 +61,17 @@ def algebra_to_json(algebra: Algebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> Algebra:
+    _typed(data, dict, "an algebra")
+    grading = data.get("grading")
+    if grading is not None:
+        grading = tuple(_typed(g, int, "a grading degree")
+                        for g in _typed(grading, list, "'grading'"))
     return Algebra(
-        dim=int(data["dim"]),
-        labels=tuple(data["labels"]),
+        dim=_typed(data["dim"], int, "'dim'"),
+        labels=tuple(_typed(data["labels"], list, "'labels'")),
         structure=array_from_json(data["structure"]),
         unit=None if data.get("unit") is None else array_from_json(data["unit"]),
-        grading=None if data.get("grading") is None else tuple(int(g) for g in data["grading"]),
+        grading=grading,
     )
 
 
@@ -61,13 +87,22 @@ def module_to_json(module: FredholmModule) -> dict:
 
 
 def module_from_json(data: dict) -> FredholmModule:
+    """The checked input boundary: every defect of a module file raises InputError.
+
+    Each matrix is parsed on its own and checked against (n, n) before the
+    representation is stacked, so no array is sized by an unchecked field.
+    """
+    _typed(data, dict, "a module file")
     algebra = algebra_from_json(data["algebra"])
-    n = int(data["n"])
-    rep = np.zeros((algebra.dim, n, n), dtype=complex)
-    for i, mat in enumerate(data["rep"]):
-        rep[i] = array_from_json(mat)
-    gamma = None if data.get("gamma") is None else array_from_json(data["gamma"])
-    return FredholmModule(algebra, rep, array_from_json(data["F"]), int(data["m"]), gamma)
+    n = _typed(data["n"], int, "'n'")
+    F = _square(data["F"], n, "F")
+    mats = _typed(data["rep"], list, "'rep'")
+    if len(mats) != algebra.dim:
+        raise InputError(f"'rep' lists {len(mats)} matrices for an algebra of dim {algebra.dim}")
+    rep = np.array([_square(a, n, f"rep[{i}]") for i, a in enumerate(mats)], dtype=complex)
+    gamma = None if data.get("gamma") is None else _square(data["gamma"], n, "gamma")
+    return FredholmModule(algebra, rep.reshape(algebra.dim, n, n), F, _typed(data["m"], int, "'m'"),
+                          gamma)
 
 
 def jsonable(obj):

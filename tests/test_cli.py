@@ -1,8 +1,13 @@
 import json
+import sys
+from collections import Counter
 
 import numpy as np
+import pytest
 
+from cycfred import fredholm
 from cycfred.cli import main
+from cycfred.pairing import c_constant
 from cycfred.serialize import (
     array_from_json,
     array_to_json,
@@ -101,6 +106,7 @@ def test_pair_m_mismatch(tmp_path):
     main(["make-model", "hardy", "--N", "8", "-o", mod_path])
     dump_json({"logs": [array_to_json(np.zeros(8))] * 2}, logs_path)
     assert main(["pair", "--module", mod_path, "--logs", logs_path, "--m", "3"]) == 2
+    assert main(["witness", "--module", mod_path, "--m", "3"]) == 2
 
 
 def test_witness_command_with_dump(tmp_path):
@@ -147,3 +153,84 @@ def test_make_model_variants(tmp_path):
         mod = module_from_json(load_json(args[-1]))
         from cycfred.fredholm import validate_module
         assert validate_module(mod)["pass"]
+
+
+def _set(key, value):
+    return lambda data: data.__setitem__(key, value)
+
+
+MALFORMED = {
+    "nan-in-F": lambda data: data["F"][0].__setitem__(0, [float("nan"), 0.0]),
+    "m-not-a-number": _set("m", "two"),
+    "m-fractional": _set("m", 2.7),
+    "rep-slot-1x1": lambda data: data["rep"].__setitem__(0, [[[1.0, 0.0]]]),
+    "rep-list-short": lambda data: data.__setitem__("rep", data["rep"][:-1]),
+    "n-disagrees": _set("n", 7),
+    "F-ragged": lambda data: data["F"].__setitem__(0, data["F"][0][:-1]),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_malformed_module_file_exits_two_with_one_line(defect, tmp_path, capsys):
+    data = module_to_json(random_reflection_module(6, upper_triangular_algebra(), seed=1, m=2))
+    MALFORMED[defect](data)
+    path = str(tmp_path / "malformed.json")
+    dump_json(data, path)
+    assert main(["verify-invariance", "--module", path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap each named fredholm function at every cycfred binding; return the counts."""
+    counts = Counter()
+    modules = [m for key, m in sys.modules.items()
+               if key == "cycfred" or key.startswith("cycfred.")]
+    for name in names:
+        orig = getattr(fredholm, name)
+
+        def wrapper(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in modules:
+            for key in [k for k, v in vars(module).items() if v is orig]:
+                monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_pair_pairs_once_per_module(perturbed, tmp_path, capsys, monkeypatch):
+    # graded Hardy at m = 1: the pairing c(1) Tr(gamma rep(b)) is nonzero
+    mod_path = str(tmp_path / "hg.json")
+    logs_path = str(tmp_path / "logs.json")
+    pert_path = str(tmp_path / "T.json")
+    main(["make-model", "hardy-graded", "--N", "6", "-o", mod_path])
+    main(["make-perturbation", "--module", mod_path, "--eps", "0.3", "--seed", "1",
+          "-o", pert_path])
+    x = 2 * np.pi * np.arange(6) / 6
+    dump_json({"logs": [array_to_json(np.cos(x) + 0.5j * np.sin(2 * x))]}, logs_path)
+    capsys.readouterr()
+    counts = _count_calls(monkeypatch, "validate_module", "index_cocycle")
+    argv = ["pair", "--module", mod_path, "--logs", logs_path]
+    assert main(argv + (["--perturbation", pert_path] if perturbed else [])) == 0
+    modules = 2 if perturbed else 1
+    assert counts == {"validate_module": modules, "index_cocycle": modules}
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    representative = complex(*out["representative"])
+    raw = complex(*out["raw_pairing"])
+    assert abs(representative) > 0.1
+    assert abs(raw * complex(c_constant(1)) - representative) <= 1e-12 * abs(representative)
+
+
+@pytest.mark.parametrize("command", ["verify-invariance", "witness"])
+def test_schatten_report_once_per_module(command, tmp_path, monkeypatch):
+    mod_path = str(tmp_path / "refl.json")
+    pert_path = str(tmp_path / "T.json")
+    dump_json(module_to_json(random_reflection_module(6, upper_triangular_algebra(),
+                                                      seed=2, m=2)), mod_path)
+    main(["make-perturbation", "--module", mod_path, "--eps", "0.15", "--seed", "5",
+          "-o", pert_path])
+    counts = _count_calls(monkeypatch, "schatten_report", "validate_module")
+    assert main([command, "--module", mod_path, "--perturbation", pert_path]) == 0
+    assert counts == {"schatten_report": 2, "validate_module": 2}

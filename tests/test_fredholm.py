@@ -17,6 +17,7 @@ from cycfred.fredholm import (
     relax_summability,
     rep_tilde,
     schatten_norm,
+    schatten_report,
     unitary_conjugate,
     universal_embed,
     validate_module,
@@ -250,6 +251,7 @@ def test_universal_embed_ungraded():
     assert all(v >= 0 for v in report.combined_norms)
     as_mod = embedded_as_module(mod, embedded)
     assert validate_module(as_mod)["pass"]
+    assert report == schatten_report(as_mod)
     assert np.abs(index_cocycle(as_mod).values - index_cocycle(mod).values).max() < 1e-10
 
 
@@ -266,6 +268,7 @@ def test_universal_embed_graded():
     assert np.abs(swap[:4, 4:] - np.eye(4)).max() == 0.0
     as_mod = embedded_as_module(mod, embedded)
     assert validate_module(as_mod)["pass"]
+    assert report == schatten_report(as_mod)
     assert np.abs(index_cocycle(as_mod).values - index_cocycle(mod).values).max() < 1e-9
     assert report.m == 3
 

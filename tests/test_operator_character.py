@@ -6,6 +6,7 @@ and boundary characters as traces of matrix products.  The two share no code
 beyond the module data, so agreement to rounding is the check.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from cycfred.chern import (
     witness_cochain,
 )
 from cycfred.errors import BudgetError, InputError
-from cycfred.fredholm import FredholmModule, perturb
+from cycfred.fredholm import FredholmModule, index_cocycle, perturb
 from cycfred.models import conjugation_perturbation, random_reflection_module, toy_even_module
 
 UT = upper_triangular_algebra()
@@ -75,6 +76,17 @@ def test_boundary_characters_match_symbolic_route(label, algebra, m, seed, k_min
         symbolic = boundary_cycle_chern(mod, T, side).values
         operator = operator_boundary_character(module).values
         assert np.abs(operator - symbolic).max() <= TOL, (label, side)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_index_cocycle_is_the_operator_boundary_character(m):
+    # 1/2 Tr(gamma^m F [F, x0] ...) = Tr(gamma^m x0 [F, x1] ...) when F^2 = 1:
+    # two different products through the one trace kernel
+    mod, T = _instance(UT, m, seed=m)
+    for module in (mod, perturb(mod, T)):
+        tau = index_cocycle(module).values
+        character = operator_boundary_character(module).values
+        assert np.abs(tau - math.factorial(m - 1) * character).max() <= TOL, m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
