@@ -51,7 +51,7 @@ class Algebra:
             )
         if len(self.labels) != self.dim:
             raise InputError("label count does not match dim")
-        if self.unit is not None and len(self.unit) != self.dim:
+        if self.unit is not None and np.shape(self.unit) != (self.dim,):
             raise InputError("unit vector length does not match dim")
         if self.grading is not None and len(self.grading) != self.dim:
             raise InputError("grading length does not match dim")

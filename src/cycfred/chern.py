@@ -722,12 +722,12 @@ def run_verification_suite(module: FredholmModule, T, tol_structural: float = 1e
     for _ in range(identity_samples):
         phi = random_cochain(at, ident_degree, rng)
         scale = max(1.0, float(np.abs(phi.values).max()))
+        b_phi, B_phi = hochschild_b(phi), connes_B(phi)
         worst_ident = max(
             worst_ident,
-            float(np.abs(hochschild_b(hochschild_b(phi)).values).max()) / scale,
-            float(np.abs(connes_B(connes_B(phi)).values).max()) / scale,
-            float(np.abs((hochschild_b(connes_B(phi)).values
-                          + connes_B(hochschild_b(phi)).values)).max()) / scale,
+            float(np.abs(hochschild_b(b_phi).values).max()) / scale,
+            float(np.abs(connes_B(B_phi).values).max()) / scale,
+            float(np.abs((hochschild_b(B_phi).values + connes_B(b_phi).values)).max()) / scale,
         )
     report["complex_identities"] = {
         "degree": ident_degree,

@@ -22,32 +22,20 @@ from .chern import (
     verify_perturbation_invariance,
     witness_cochain,
 )
-from .cyclic import MAX_M, MAX_N
 from .errors import BudgetError, InputError
 from .fredholm import perturb
 from .pairing import c_constant, mult_char_exponentials, lattice_reduce
 from .serialize import (
-    array_from_json,
     array_to_json,
     dump_json,
     jsonable,
     load_json,
-    module_from_json,
+    load_module,
+    logs_from_json,
     module_to_json,
+    perturbation_from_json,
+    perturbation_to_json,
 )
-
-
-def _load_module(args):
-    """The module file of a run, checked against the budgets and --m."""
-    module = module_from_json(load_json(args.module))
-    cap = args.budget_n or MAX_N
-    if module.n > cap:
-        raise BudgetError(f"Hilbert dimension {module.n} exceeds the budget {cap}")
-    if module.m > MAX_M:
-        raise BudgetError(f"summability degree {module.m} exceeds the budget {MAX_M}")
-    if args.m and args.m != module.m:
-        raise InputError(f"--m {args.m} disagrees with the module file (m={module.m})")
-    return module
 
 
 def _algebra_by_name(name: str):
@@ -80,21 +68,21 @@ def cmd_make_model(args) -> int:
 
 
 def cmd_make_perturbation(args) -> int:
-    module = module_from_json(load_json(args.module))
+    module = load_module(args.module)
     T = models.conjugation_perturbation(module, seed=args.seed, strength=args.eps)
-    dump_json({"T": array_to_json(T)}, args.output)
+    dump_json(perturbation_to_json(T), args.output)
     print(f"wrote conjugation perturbation (eps={args.eps}, seed={args.seed}) to {args.output}")
     return 0
 
 
 def _load_perturbation(args, module):
     if args.perturbation:
-        return array_from_json(load_json(args.perturbation)["T"])
+        return perturbation_from_json(load_json(args.perturbation), module.n)
     return np.zeros((module.n, module.n), dtype=complex)
 
 
 def cmd_verify(args) -> int:
-    module = _load_module(args)
+    module = load_module(args.module, args.m, args.budget_n)
     T = _load_perturbation(args, module)
     report = run_verification_suite(module, T, tol_witness=args.tol, seed=args.seed)
     if args.dump_witness:
@@ -129,7 +117,7 @@ def _witness_dump(module, T) -> dict:
 
 
 def cmd_witness(args) -> int:
-    module = _load_module(args)
+    module = load_module(args.module, args.m, args.budget_n)
     T = _load_perturbation(args, module)
     report = verify_perturbation_invariance(module, T, tol=args.tol)
     psi = report.pop("witness", None)
@@ -151,10 +139,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    module = _load_module(args)
-    data = load_json(args.logs)
-    logs = [array_from_json(v) for v in data["logs"]]
-    exponents = [array_from_json(v) for v in data.get("exponents", data["logs"])]
+    module = load_module(args.module, args.m, args.budget_n)
+    exponents, logs = logs_from_json(load_json(args.logs))
     value = mult_char_exponentials(module, exponents, logs, tol=args.tol or 1e-9)
     reduced = lattice_reduce(value.representative, module.m)
     # the same contraction before the c(m) scale; c(m) is never zero
@@ -229,7 +215,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, BudgetError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, BudgetError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,10 +179,6 @@ class TotalCochain:
         return max(float(np.abs(c).max()) for c in self.components)
 
 
-def total_cochain(algebra: Algebra, components) -> TotalCochain:
-    return TotalCochain(algebra, tuple(np.asarray(c, dtype=complex) for c in components))
-
-
 def zero_total(algebra: Algebra, top_degree: int) -> TotalCochain:
     comps = []
     deg = top_degree

@@ -133,6 +133,18 @@ def schatten_report(module: FredholmModule) -> SchattenReport:
                           tuple(o + c for o, c in zip(op, comm)))
 
 
+def _symmetry_checks(module: FredholmModule, S: np.ndarray, name: str) -> dict:
+    """Residuals of S as the symmetry of the module: S = S*, S^2 = 1 and, in
+    the graded case, gamma S = -S gamma.  Keys are named after S."""
+    checks = {
+        f"{name}_selfadjoint": operator_norm(S - S.conj().T),
+        f"{name}_involutive": operator_norm(S @ S - np.eye(module.n)),
+    }
+    if module.graded:
+        checks[f"gamma_{name}_anticommute"] = operator_norm(module.gamma @ S + S @ module.gamma)
+    return checks
+
+
 def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict:
     """Report-only validation of the module axioms.
 
@@ -143,10 +155,7 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
     module can meet; the report carries a warning to that effect.
     """
     F = module.F
-    n = module.n
-    checks = {}
-    checks["F_selfadjoint"] = operator_norm(F - F.conj().T)
-    checks["F_involutive"] = operator_norm(F @ F - np.eye(n))
+    checks = _symmetry_checks(module, F, "F")
 
     # max-abs entry residual, batched per left factor; spectral norms per
     # pair would cost dim^2 SVDs and add nothing at these tolerances
@@ -160,8 +169,7 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
 
     if module.graded:
         g = module.gamma
-        checks["gamma_involutive"] = operator_norm(g @ g - np.eye(n))
-        checks["gamma_F_anticommute"] = operator_norm(g @ F + F @ g)
+        checks["gamma_involutive"] = operator_norm(g @ g - np.eye(module.n))
         checks["gamma_rep_commute"] = max(
             operator_norm(g @ module.rep[i] - module.rep[i] @ g)
             for i in range(module.algebra.dim)
@@ -253,13 +261,8 @@ def perturb(module: FredholmModule, T: np.ndarray, tol: float = STRUCTURAL_TOL) 
     if T.shape != module.F.shape:
         raise InputError("perturbation shape does not match F")
     G = module.F + T
-    residuals = {
-        "G_selfadjoint": operator_norm(G - G.conj().T),
-        "G_involutive": operator_norm(G @ G - np.eye(module.n)),
-        "FT+TF+T^2": involution_defect(module.F, T),
-    }
-    if module.graded:
-        residuals["gamma_G_anticommute"] = operator_norm(module.gamma @ G + G @ module.gamma)
+    residuals = _symmetry_checks(module, G, "G")
+    residuals["FT+TF+T^2"] = involution_defect(module.F, T)
     bad = {k: v for k, v in residuals.items() if v > tol}
     if bad:
         raise InputError(f"G = F + T is not an involutive symmetry: residuals {bad}")

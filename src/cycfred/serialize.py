@@ -1,7 +1,10 @@
 """JSON formats for algebras, modules, matrices and reports.
 
 Matrices are row-major nested lists of [re, im] pairs; tensors likewise.
-Module files embed their algebra so they are self-contained.
+Module files embed their algebra so they are self-contained.  This module is
+the checked input boundary of the command line: every defect of a module,
+perturbation or logs file raises InputError (or BudgetError for a module over
+the budgets), never a bare TypeError or a silently broadcast array.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra
-from .errors import InputError
+from .cyclic import MAX_M, MAX_N
+from .errors import BudgetError, InputError
 from .fredholm import FredholmModule
 
 
@@ -25,7 +29,7 @@ def array_to_json(a: np.ndarray):
 def array_from_json(data) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"complex arrays must be nested [re, im] number pairs: {exc}") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise InputError("complex arrays must be nested [re, im] pairs")
@@ -38,6 +42,10 @@ def _typed(value, kind: type, what: str):
     if isinstance(value, bool) or not isinstance(value, kind):
         raise InputError(f"{what} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _arrays(data, what: str) -> list:
+    return [array_from_json(a) for a in _typed(data, list, what)]
 
 
 def _square(data, n: int, what: str) -> np.ndarray:
@@ -66,9 +74,10 @@ def algebra_from_json(data: dict) -> Algebra:
     if grading is not None:
         grading = tuple(_typed(g, int, "a grading degree")
                         for g in _typed(grading, list, "'grading'"))
+    labels = tuple(_typed(x, str, "a label") for x in _typed(data["labels"], list, "'labels'"))
     return Algebra(
         dim=_typed(data["dim"], int, "'dim'"),
-        labels=tuple(_typed(data["labels"], list, "'labels'")),
+        labels=labels,
         structure=array_from_json(data["structure"]),
         unit=None if data.get("unit") is None else array_from_json(data["unit"]),
         grading=grading,
@@ -86,23 +95,65 @@ def module_to_json(module: FredholmModule) -> dict:
     }
 
 
+def _module_header(data) -> tuple:
+    """The integers n and m of a module file, read before any matrix."""
+    _typed(data, dict, "a module file")
+    return _typed(data["n"], int, "'n'"), _typed(data["m"], int, "'m'")
+
+
 def module_from_json(data: dict) -> FredholmModule:
     """The checked input boundary: every defect of a module file raises InputError.
 
     Each matrix is parsed on its own and checked against (n, n) before the
     representation is stacked, so no array is sized by an unchecked field.
     """
-    _typed(data, dict, "a module file")
+    n, m = _module_header(data)
     algebra = algebra_from_json(data["algebra"])
-    n = _typed(data["n"], int, "'n'")
     F = _square(data["F"], n, "F")
     mats = _typed(data["rep"], list, "'rep'")
     if len(mats) != algebra.dim:
         raise InputError(f"'rep' lists {len(mats)} matrices for an algebra of dim {algebra.dim}")
     rep = np.array([_square(a, n, f"rep[{i}]") for i, a in enumerate(mats)], dtype=complex)
     gamma = None if data.get("gamma") is None else _square(data["gamma"], n, "gamma")
-    return FredholmModule(algebra, rep.reshape(algebra.dim, n, n), F, _typed(data["m"], int, "'m'"),
-                          gamma)
+    return FredholmModule(algebra, rep.reshape(algebra.dim, n, n), F, m, gamma)
+
+
+def load_module(path: str, m: int = 0, budget_n: int = 0) -> FredholmModule:
+    """The module file of a command-line run.
+
+    n is checked against budget_n (MAX_N when 0) and m against MAX_M, and m
+    against the expected m when one is given, before any matrix is parsed.
+    """
+    data = load_json(path)
+    n, file_m = _module_header(data)
+    cap = budget_n or MAX_N
+    if n > cap:
+        raise BudgetError(f"Hilbert dimension {n} exceeds the budget {cap}")
+    if file_m > MAX_M:
+        raise BudgetError(f"summability degree {file_m} exceeds the budget {MAX_M}")
+    if m and m != file_m:
+        raise InputError(f"--m {m} disagrees with the module file (m={file_m})")
+    return module_from_json(data)
+
+
+def perturbation_to_json(T: np.ndarray) -> dict:
+    return {"T": array_to_json(T)}
+
+
+def perturbation_from_json(data: dict, n: int) -> np.ndarray:
+    """The T of a perturbation file {"T": (n, n) matrix}."""
+    return _square(_typed(data, dict, "a perturbation file")["T"], n, "T")
+
+
+def logs_from_json(data: dict) -> tuple:
+    """(exponents, logs) of a logs file {"logs": [array, ...], "exponents": [...]}.
+
+    The exponents default to the logs.
+    """
+    logs = _arrays(_typed(data, dict, "a logs file")["logs"], "'logs'")
+    if "exponents" not in data:
+        return logs, logs
+    return _arrays(data["exponents"], "'exponents'"), logs
 
 
 def jsonable(obj):
@@ -127,8 +178,13 @@ def jsonable(obj):
 
 
 def load_json(path: str) -> dict:
+    """Parse a JSON file; text that is not JSON raises InputError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, bad UTF-8 and over-long integers
+            raise InputError(f"{path} cannot be parsed as JSON: {exc}") from None
 
 
 def dump_json(data, path: str):

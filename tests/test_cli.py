@@ -69,6 +69,7 @@ def test_verify_exit_one_on_corrupted_symmetry(tmp_path):
 
 def test_missing_file_gives_exit_two(tmp_path):
     assert main(["verify-invariance", "--module", str(tmp_path / "nope.json")]) == 2
+    assert main(["verify-invariance", "--module", str(tmp_path)]) == 2
 
 
 def test_budget_exit_two(tmp_path):
@@ -167,6 +168,8 @@ MALFORMED = {
     "rep-list-short": lambda data: data.__setitem__("rep", data["rep"][:-1]),
     "n-disagrees": _set("n", 7),
     "F-ragged": lambda data: data["F"].__setitem__(0, data["F"][0][:-1]),
+    "F-overflow": lambda data: data["F"][0].__setitem__(0, [10 ** 400, 0.0]),
+    "labels-not-strings": lambda data: data["algebra"].__setitem__("labels", [[1], [2], [3]]),
 }
 
 
@@ -179,6 +182,70 @@ def test_malformed_module_file_exits_two_with_one_line(defect, tmp_path, capsys)
     assert main(["verify-invariance", "--module", path]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:"), err
+
+
+def _reflection_file(tmp_path, size=6, **changes):
+    """A valid n = size module file, with the given top-level fields replaced."""
+    data = module_to_json(random_reflection_module(size, upper_triangular_algebra(), seed=1, m=2))
+    data.update(changes)
+    path = str(tmp_path / "module.json")
+    dump_json(data, path)
+    return path
+
+
+def _bad_file(tmp_path, content):
+    path = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        dump_json(content, str(path))
+    return str(path)
+
+
+BAD_PERTURBATIONS = {
+    "not-a-dict": [1, 2],
+    "T-not-an-array": {"T": "x"},
+    "T-not-square": {"T": array_to_json(np.zeros((6, 7)))},
+    "T-nan": {"T": array_to_json(np.full((6, 6), np.nan))},
+    "T-digits-over-the-limit": b'{"T": ' + b"9" * 5000 + b"}",
+    "nested-too-deep": b"[" * 100000 + b"]" * 100000,
+}
+BAD_LOGS = {
+    "logs-not-a-list": {"logs": 5},
+    "logs-entry-not-an-array": {"logs": ["x"]},
+    "exponents-not-a-list": {"logs": [array_to_json(np.zeros(3))] * 2, "exponents": 7},
+    "no-logs": {},
+    "not-utf8": b"\xff\xfe",
+}
+
+
+def _bad_input_cases():
+    """(argv from tmp_path, a phrase the error line must contain) per malformed input."""
+    for name, content in BAD_PERTURBATIONS.items():
+        for command in ("witness", "verify-invariance"):
+            yield pytest.param(
+                lambda tmp, c=command, t=content: [c, "--module", _reflection_file(tmp),
+                                                   "--perturbation", _bad_file(tmp, t)],
+                "", id=f"{command}-{name}")
+    for name, content in BAD_LOGS.items():
+        yield pytest.param(
+            lambda tmp, t=content: ["pair", "--module", _reflection_file(tmp),
+                                    "--logs", _bad_file(tmp, t)],
+            "", id=f"pair-{name}")
+    yield pytest.param(
+        lambda tmp: ["verify-invariance", "--module", _reflection_file(tmp, n=1000000)],
+        "Hilbert dimension 1000000 exceeds the budget", id="module-n-over-budget")
+    yield pytest.param(
+        lambda tmp: ["make-perturbation", "--module", _reflection_file(tmp, size=66),
+                     "-o", str(tmp / "T.json")],
+        "Hilbert dimension 66 exceeds the budget", id="make-perturbation-n-over-budget")
+
+
+@pytest.mark.parametrize("argv,phrase", _bad_input_cases())
+def test_malformed_input_file_exits_two_with_one_line(argv, phrase, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and phrase in err[0], err
 
 
 def _count_calls(monkeypatch, *names):
