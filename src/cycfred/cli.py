@@ -8,7 +8,6 @@ Reports are written even when verification fails.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -22,39 +21,59 @@ from .chern import (
     verify_perturbation_invariance,
     witness_cochain,
 )
+from .cyclic import MAX_N, _check_budget
 from .errors import BudgetError, InputError
 from .fredholm import perturb
 from .pairing import c_constant, mult_char_exponentials, lattice_reduce
 from .serialize import (
     array_to_json,
     dump_json,
-    jsonable,
     load_json,
     load_module,
     logs_from_json,
     module_to_json,
     perturbation_from_json,
     perturbation_to_json,
+    to_json,
 )
 
 
+def _positive(value, what: str) -> int:
+    try:
+        value = int(value)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got '{value}'") from None
+    if value < 1:
+        raise InputError(f"{what} must be positive, got {value}")
+    return value
+
+
 def _algebra_by_name(name: str):
+    """The algebra of an --algebra spec, its structure tensor budgeted before it is built."""
     if name == "ut2":
         return upper_triangular_algebra()
     kind, _, arg = name.partition(":")
     if kind == "pointwise":
-        return pointwise_algebra(int(arg))
+        d = _positive(arg, "the <d> of pointwise:<d>")
+        _check_budget(d, 2)
+        return pointwise_algebra(d)
     if kind == "matrix":
-        return matrix_units_algebra(int(arg))
+        k = _positive(arg, "the <k> of matrix:<k>")
+        _check_budget(k * k, 2)
+        return matrix_units_algebra(k)
     raise InputError(f"unknown algebra spec '{name}' (use ut2, pointwise:<d>, matrix:<k>)")
 
 
 def cmd_make_model(args) -> int:
+    flag, size = ("--N", args.N) if args.kind.startswith("hardy") else ("--n", args.n)
+    if _positive(size, flag) > MAX_N:
+        raise BudgetError(f"{flag} {size} exceeds the budget {MAX_N}")
     if args.kind == "hardy":
         _, module = models.discrete_hardy(args.N)
     elif args.kind == "hardy-graded":
         _, module = models.discrete_hardy_graded(args.N, seed=args.seed)
     elif args.kind == "even":
+        _check_budget(_positive(args.base_dim, "--base-dim"), 2)
         _, module = models.toy_even_module(args.n, seed=args.seed, m=args.m or 3,
                                            base_dim=args.base_dim)
     elif args.kind == "reflection":
@@ -159,7 +178,7 @@ def cmd_pair(args) -> int:
         ]
     if args.report:
         dump_json(out, args.report)
-    print(json.dumps(jsonable(out)))
+    print(to_json(out))
     return 0
 
 
@@ -214,6 +233,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise InputError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (InputError, BudgetError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

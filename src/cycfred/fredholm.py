@@ -158,13 +158,19 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
     checks = _symmetry_checks(module, F, "F")
 
     # max-abs entry residual, batched per left factor; spectral norms per
-    # pair would cost dim^2 SVDs and add nothing at these tolerances
+    # pair would cost dim^2 SVDs and add nothing at these tolerances.
+    # rep(e_i e_j) = sum_k s[i, j, k] rep(e_k) is one matrix product over the
+    # nonzero rows J and columns K of s[i]; the other rows are zero.
     s = module.algebra.structure
+    n = module.n
+    flat = module.rep.reshape(module.algebra.dim, n * n)
     hom = 0.0
     for i in range(module.algebra.dim):
-        products = module.rep[i] @ module.rep
-        expected = np.einsum("jk,kab->jab", s[i], module.rep)
-        hom = max(hom, float(np.abs(products - expected).max()))
+        products = (module.rep[i] @ module.rep).astype(np.result_type(module.rep, s), copy=False)
+        J = np.flatnonzero(s[i].any(axis=1))
+        K = np.flatnonzero(s[i].any(axis=0))
+        products[J] -= (s[i][np.ix_(J, K)] @ flat[K]).reshape(len(J), n, n)
+        hom = max(hom, float(np.abs(products).max()))
     checks["rep_homomorphism"] = hom
 
     if module.graded:

@@ -10,13 +10,13 @@ the budgets), never a bare TypeError or a silently broadcast array.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .algebra import Algebra
-from .cyclic import MAX_M, MAX_N
+from .cyclic import MAX_M, MAX_N, _check_budget
 from .errors import BudgetError, InputError
 from .fredholm import FredholmModule
 
@@ -96,9 +96,11 @@ def module_to_json(module: FredholmModule) -> dict:
 
 
 def _module_header(data) -> tuple:
-    """The integers n and m of a module file, read before any matrix."""
+    """The integers n, m and the algebra's dim of a module file, read before
+    any matrix or structure tensor."""
     _typed(data, dict, "a module file")
-    return _typed(data["n"], int, "'n'"), _typed(data["m"], int, "'m'")
+    dim = _typed(_typed(data["algebra"], dict, "an algebra")["dim"], int, "'dim'")
+    return _typed(data["n"], int, "'n'"), _typed(data["m"], int, "'m'"), dim
 
 
 def module_from_json(data: dict) -> FredholmModule:
@@ -107,7 +109,7 @@ def module_from_json(data: dict) -> FredholmModule:
     Each matrix is parsed on its own and checked against (n, n) before the
     representation is stacked, so no array is sized by an unchecked field.
     """
-    n, m = _module_header(data)
+    n, m, _ = _module_header(data)
     algebra = algebra_from_json(data["algebra"])
     F = _square(data["F"], n, "F")
     mats = _typed(data["rep"], list, "'rep'")
@@ -121,11 +123,13 @@ def module_from_json(data: dict) -> FredholmModule:
 def load_module(path: str, m: int = 0, budget_n: int = 0) -> FredholmModule:
     """The module file of a command-line run.
 
-    n is checked against budget_n (MAX_N when 0) and m against MAX_M, and m
-    against the expected m when one is given, before any matrix is parsed.
+    The algebra's dim is checked against the dense-tensor budget, n against
+    budget_n (MAX_N when 0) and m against MAX_M, and m against the expected m
+    when one is given, before any matrix is parsed.
     """
     data = load_json(path)
-    n, file_m = _module_header(data)
+    n, file_m, dim = _module_header(data)
+    _check_budget(dim, 2)   # the structure tensor, dim^3 entries
     cap = budget_n or MAX_N
     if n > cap:
         raise BudgetError(f"Hilbert dimension {n} exceeds the budget {cap}")
@@ -156,25 +160,26 @@ def logs_from_json(data: dict) -> tuple:
     return _arrays(data["exponents"], "'exponents'"), logs
 
 
-def jsonable(obj):
-    """Recursively convert reports (ndarrays, complexes, dataclasses) to JSON."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+def _encode(obj):
+    """JSON form of what the encoder cannot hold: ndarrays as [re, im] arrays,
+    complexes as [re, im], numpy scalars as Python numbers, Fractions as
+    strings and dataclasses (reports, cochains) as dicts of their fields."""
     if isinstance(obj, np.ndarray):
         return array_to_json(obj)
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, Fraction):
         return str(obj)
     if is_dataclass(obj) and not isinstance(obj, type):
-        return jsonable(asdict(obj))
-    if hasattr(obj, "components"):  # TotalCochain
-        return [array_to_json(c) for c in obj.components]
-    return obj
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def to_json(data) -> str:
+    """Compact JSON text of a report or file, written by the C encoder."""
+    return json.dumps(data, default=_encode)
 
 
 def load_json(path: str) -> dict:
@@ -189,5 +194,5 @@ def load_json(path: str) -> dict:
 
 def dump_json(data, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(jsonable(data), fh, indent=2)
+        fh.write(to_json(data))
         fh.write("\n")

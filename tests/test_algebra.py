@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from cycfred.algebra import (
     zero_product_algebra,
 )
 from cycfred.errors import InputError
+from cycfred.fredholm import validate_module
+from cycfred.models import discrete_hardy
 
 
 def test_pointwise_idempotents_multiply_to_zero():
@@ -148,3 +152,85 @@ def test_dimension_mismatch_raises():
     alg = pointwise_algebra(3)
     with pytest.raises(InputError):
         multiply(alg, [1, 0], [1, 0, 0])
+
+
+def _dense_validate(alg, tol=1e-12):
+    """Reference: the dense dim^4 associativity tensors and the triple-loop
+    grading check that validate_algebra replaces."""
+    s = alg.structure
+    left = np.einsum("ijm,mkl->ijkl", s, s)
+    right = np.einsum("jkm,iml->ijkl", s, s)
+    diff = np.abs(left - right)
+    worst = float(diff.max()) if diff.size else 0.0
+    triple = (tuple(int(t) for t in np.unravel_index(diff.argmax(), diff.shape)[:3])
+              if diff.size else None)
+    bad = 0.0
+    if alg.is_graded:
+        g = alg.grading
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                for k in range(alg.dim):
+                    if g[k] != g[i] + g[j]:
+                        bad = max(bad, abs(s[i, j, k]))
+    return {"associative": worst <= tol, "associativity_violation": worst,
+            "worst_triple": triple, "graded_ok": bad <= tol, "grading_violation": bad}
+
+
+def _noisy_matrix_units():
+    alg = matrix_units_algebra(3)
+    noise = 1e-3 * np.random.default_rng(3).normal(size=alg.structure.shape)
+    return Algebra(alg.dim, alg.labels, alg.structure + noise, alg.unit)
+
+
+def _dense_random():
+    rng = np.random.default_rng(24)
+    s = rng.normal(size=(24, 24, 24)) + 1j * rng.normal(size=(24, 24, 24))
+    return Algebra(24, tuple(f"r{i}" for i in range(24)), s)
+
+
+def _grading_violation():
+    alg = truncated_polynomial_algebra(4)
+    bad = alg.structure.copy()
+    bad[1, 1, 1] = 0.25
+    bad[2, 1, 0] = -0.5j
+    return Algebra(alg.dim, alg.labels, bad, alg.unit, alg.grading)
+
+
+BUILTIN = {
+    "pointwise4": pointwise_algebra(4),
+    "matrix2": matrix_units_algebra(2),
+    "ut2": upper_triangular_algebra(),
+    "zero2": zero_product_algebra(2),
+    "truncated4": truncated_polynomial_algebra(4),
+    "scalar": scalar_algebra(),
+}
+ORACLE_CASES = {
+    **BUILTIN,
+    **{f"{name}~": unitalize(alg) for name, alg in BUILTIN.items()},
+    "matrix3-noisy": _noisy_matrix_units(),
+    "dense-random-24": _dense_random(),
+    "grading-violation": _grading_violation(),
+    "dim0": Algebra(0, (), np.zeros((0, 0, 0), dtype=complex)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_validate_algebra_matches_dense_oracle(name):
+    alg = ORACLE_CASES[name]
+    got, want = validate_algebra(alg), _dense_validate(alg)
+    for flag in ("associative", "graded_ok", "worst_triple"):
+        assert got[flag] == want[flag], flag
+    for key in ("associativity_violation", "grading_violation"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+
+def test_validate_module_memory_stays_small_at_hardy_64():
+    _, mod = discrete_hardy(64)
+    tracemalloc.start()
+    try:
+        report = validate_module(mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 64 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -184,9 +184,13 @@ def test_malformed_module_file_exits_two_with_one_line(defect, tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
+def _reflection_data(size=6):
+    return module_to_json(random_reflection_module(size, upper_triangular_algebra(), seed=1, m=2))
+
+
 def _reflection_file(tmp_path, size=6, **changes):
     """A valid n = size module file, with the given top-level fields replaced."""
-    data = module_to_json(random_reflection_module(size, upper_triangular_algebra(), seed=1, m=2))
+    data = _reflection_data(size)
     data.update(changes)
     path = str(tmp_path / "module.json")
     dump_json(data, path)
@@ -218,6 +222,26 @@ BAD_LOGS = {
     "not-utf8": b"\xff\xfe",
 }
 
+# make-model arguments, and a phrase the error line must contain
+BAD_MODELS = {
+    "pointwise-not-an-integer": (["reflection", "--algebra", "pointwise:x"],
+                                 "must be an integer"),
+    "pointwise-over-budget": (["reflection", "--algebra", "pointwise:100000"],
+                              "dense tensor with dim 100000 and degree 2 exceeds"),
+    "pointwise-zero": (["reflection", "--algebra", "pointwise:0"], "must be positive"),
+    "matrix-not-an-integer": (["reflection", "--algebra", "matrix:2.5"], "must be an integer"),
+    "matrix-over-budget": (["reflection", "--algebra", "matrix:100"],
+                           "dense tensor with dim 10000 and degree 2 exceeds"),
+    "hardy-N-over-budget": (["hardy", "--N", "100000"], "--N 100000 exceeds the budget 64"),
+    "reflection-n-over-budget": (["reflection", "--n", "100000"],
+                                 "--n 100000 exceeds the budget 64"),
+    "reflection-n-negative": (["reflection", "--n", "-3"], "must be positive"),
+    "even-base-dim-over-budget": (["even", "--base-dim", "100000"],
+                                  "dense tensor with dim 100000 and degree 2 exceeds"),
+    "even-base-dim-negative": (["even", "--base-dim", "-1"], "must be positive"),
+    "even-negative-seed": (["even", "--seed", "-1"], "--seed must be non-negative"),
+}
+
 
 def _bad_input_cases():
     """(argv from tmp_path, a phrase the error line must contain) per malformed input."""
@@ -239,6 +263,17 @@ def _bad_input_cases():
         lambda tmp: ["make-perturbation", "--module", _reflection_file(tmp, size=66),
                      "-o", str(tmp / "T.json")],
         "Hilbert dimension 66 exceeds the budget", id="make-perturbation-n-over-budget")
+    yield pytest.param(
+        lambda tmp: ["verify-invariance", "--module",
+                     _reflection_file(tmp, algebra={**_reflection_data()["algebra"], "dim": 1000})],
+        "dense tensor with dim 1000 and degree 2 exceeds", id="module-dim-over-budget")
+    for name, (args, phrase) in BAD_MODELS.items():
+        yield pytest.param(
+            lambda tmp, a=args: ["make-model", *a, "-o", str(tmp / "model.json")],
+            phrase, id=f"make-model-{name}")
+    yield pytest.param(
+        lambda tmp: ["verify-invariance", "--module", _reflection_file(tmp), "--seed", "-1"],
+        "--seed must be non-negative", id="verify-invariance-negative-seed")
 
 
 @pytest.mark.parametrize("argv,phrase", _bad_input_cases())

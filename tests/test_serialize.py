@@ -1,11 +1,19 @@
-"""Property tests of the checked input boundary in cycfred.serialize."""
+"""Property tests of the checked input boundary in cycfred.serialize, and
+the JSON form of reports."""
 
+from fractions import Fraction
+
+import numpy as np
 from hypothesis import given, strategies as st
 
-from cycfred.algebra import upper_triangular_algebra
+from cycfred.algebra import scalar_algebra, upper_triangular_algebra
+from cycfred.cyclic import TotalCochain
 from cycfred.errors import BudgetError, InputError
+from cycfred.fredholm import SchattenReport
 from cycfred.models import random_reflection_module
 from cycfred.serialize import (
+    dump_json,
+    load_json,
     logs_from_json,
     module_from_json,
     module_to_json,
@@ -77,3 +85,36 @@ def test_logs_from_json_returns_or_rejects(data):
 
 def test_fuzzed_module_files_start_from_a_valid_one():
     assert module_from_json(VALID).n == N
+
+
+def test_reports_are_written_as_compact_json(tmp_path):
+    report = {
+        "array": np.array([[1 + 2j, 0.5], [0, -1j]]),
+        "complex": 3 - 4j,
+        "np_complex": np.complex128(0.25 + 1j),
+        "float": np.float64(0.1),
+        "int": np.int64(7),
+        "fraction": Fraction(-3, 8),
+        "schatten": SchattenReport(2, (np.float64(1.5), 0.25), (1.0, 2.0), (2.5, 2.25)),
+        "cochain": TotalCochain(scalar_algebra(), (np.array([2 + 1j]),)),
+        "nested": (1, (2.5, (np.int64(3), "x")), [None, True]),
+        3: "int key",
+    }
+    path = tmp_path / "report.json"
+    dump_json(report, str(path))
+    assert load_json(str(path)) == {
+        "array": [[[1.0, 2.0], [0.5, 0.0]], [[0.0, 0.0], [-0.0, -1.0]]],
+        "complex": [3.0, -4.0],
+        "np_complex": [0.25, 1.0],
+        "float": 0.1,
+        "int": 7,
+        "fraction": "-3/8",
+        "schatten": {"m": 2, "commutator_norms": [1.5, 0.25], "operator_norms": [1.0, 2.0],
+                     "combined_norms": [2.5, 2.25]},
+        "cochain": {"algebra": {"dim": 1, "labels": ["1"], "structure": [[[[1.0, 0.0]]]],
+                                "unit": [[1.0, 0.0]], "grading": None},
+                    "components": [[[2.0, 1.0]]]},
+        "nested": [1, [2.5, [3, "x"]], [None, True]],
+        "3": "int key",
+    }
+    assert len(path.read_text().splitlines()) == 1
