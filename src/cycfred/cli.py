@@ -8,6 +8,7 @@ Reports are written even when verification fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -87,6 +88,8 @@ def cmd_make_model(args) -> int:
 
 
 def cmd_make_perturbation(args) -> int:
+    if not math.isfinite(args.eps):
+        raise InputError(f"--eps must be a finite number, got {args.eps}")
     module = load_module(args.module)
     T = models.conjugation_perturbation(module, seed=args.seed, strength=args.eps)
     dump_json(perturbation_to_json(T), args.output)

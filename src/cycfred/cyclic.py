@@ -20,6 +20,13 @@ A totalized cochain of top degree m is the sequence (phi^m, phi^{m-2}, ...)
 ending in degree 1 or 0, with coboundary
 
     (b + B)(phi^m, phi^{m-2}, ...) = (b phi^m, B phi^m + b phi^{m-2}, ...).
+
+MAX_TENSOR_ENTRIES bounds every cochain tensor the package allocates, the rows
+of the self-checks included, checked before the allocation.  b raises the
+degree, so hochschild_b_rows computes b phi for a block of leading indices
+a0, and hochschild_b_max_abs takes max |b phi| one row at a time: a row of
+b phi has as many entries as phi itself, so a self-check on a cochain the
+budget admitted never exceeds it, and a check on admitted input never exits 2.
 """
 
 from __future__ import annotations
@@ -40,14 +47,16 @@ MAX_N = 64                       # Hilbert dimension of a command-line run (--bu
 MAX_M = 6                        # summability degree of a command-line run
 
 
-def _check_budget(dim: int, degree: int):
+def _check_budget(dim: int, degree: int, rows: int | None = None):
     # Degree cap plus a total-entry cap; large-dim algebras are fine at low
     # degree (the discrete Fourier models need dim ~ 65 at degree <= 3).
+    # `rows` counts the leading indices held at once (all dim of them by default).
     if degree > MAX_DEGREE:
         raise BudgetError(f"cochain degree {degree} exceeds the budget (max {MAX_DEGREE})")
-    if dim ** (degree + 1) > MAX_TENSOR_ENTRIES:
+    if (dim if rows is None else rows) * dim ** degree > MAX_TENSOR_ENTRIES:
+        held = "" if rows in (None, dim) else f"{rows} rows of a "
         raise BudgetError(
-            f"dense tensor with dim {dim} and degree {degree} exceeds "
+            f"{held}dense tensor with dim {dim} and degree {degree} exceeds "
             f"{MAX_TENSOR_ENTRIES} entries"
         )
 
@@ -101,26 +110,67 @@ def evaluate_cochain(phi: Cochain, args) -> complex:
     return complex(out)
 
 
-def hochschild_b(phi: Cochain) -> Cochain:
-    """Hochschild coboundary, degree m -> m + 1."""
+def _b_rows_into(phi: Cochain, rows: slice, out: np.ndarray, term: np.ndarray):
+    """Write the rows a0 in `rows` of b phi into out, using term as scratch.
+
+    Every term is one einsum over the block of leading indices: each reads
+    the block from the operand that carries a0 (s for i = 0 and the wrap-around
+    term, phi otherwise).
+    """
     m = phi.degree
-    d = phi.algebra.dim
-    _check_budget(d, m + 1)
     s = phi.algebra.structure
     n_out = m + 2
     out_letters = ascii_lowercase[:n_out]
     k = ascii_lowercase[n_out]
-    out = np.zeros((d,) * n_out, dtype=complex)
-    for i in range(m + 1):
-        # phi(a0, ..., a_i a_{i+1}, ..., a_{m+1})
-        phi_letters = out_letters[:i] + k + out_letters[i + 2:]
-        spec = f"{out_letters[i]}{out_letters[i + 1]}{k},{phi_letters}->{out_letters}"
-        out += (-1) ** i * np.einsum(spec, s, phi.values)
-    # (-1)^{m+1} phi(a_{m+1} a0, a1, ..., am)
-    phi_letters = k + out_letters[1:n_out - 1]
-    spec = f"{out_letters[-1]}{out_letters[0]}{k},{phi_letters}->{out_letters}"
-    out += (-1) ** (m + 1) * np.einsum(spec, s, phi.values)
-    return Cochain(phi.algebra, out)
+    for i in range(m + 2):
+        if i <= m:
+            # (-1)^i phi(a0, ..., a_i a_{i+1}, ..., a_{m+1})
+            phi_letters = out_letters[:i] + k + out_letters[i + 2:]
+            s_letters = out_letters[i:i + 2] + k
+            s_i, phi_i = (s[rows], phi.values) if i == 0 else (s, phi.values[rows])
+        else:
+            # (-1)^{m+1} phi(a_{m+1} a0, a1, ..., am)
+            phi_letters = k + out_letters[1:n_out - 1]
+            s_letters = out_letters[-1] + out_letters[0] + k
+            s_i, phi_i = s[:, rows], phi.values
+        spec = f"{s_letters},{phi_letters}->{out_letters}"
+        if i == 0:
+            np.einsum(spec, s_i, phi_i, out=out)
+        else:
+            np.einsum(spec, s_i, phi_i, out=term)
+            (np.subtract if i % 2 else np.add)(out, term, out=out)
+
+
+def hochschild_b_rows(phi: Cochain, rows: slice) -> np.ndarray:
+    """The rows a0 in `rows` of the Hochschild coboundary b phi, degree m -> m + 1."""
+    d = phi.algebra.dim
+    n_rows = len(range(d)[rows])
+    _check_budget(d, phi.degree + 1, rows=n_rows)
+    out = np.empty((n_rows,) + (d,) * (phi.degree + 1), dtype=complex)
+    _b_rows_into(phi, rows, out, np.empty_like(out))
+    return out
+
+
+def hochschild_b(phi: Cochain) -> Cochain:
+    """Hochschild coboundary, degree m -> m + 1."""
+    return Cochain(phi.algebra, hochschild_b_rows(phi, slice(None)))
+
+
+def hochschild_b_max_abs(phi: Cochain) -> float:
+    """max |b phi| over all entries, holding one row of b phi at a time.
+
+    The row buffers are allocated once and reused: rows allocated afresh are
+    paged in again on every row (about 5x the page faults of the full tensor).
+    """
+    d = phi.algebra.dim
+    _check_budget(d, phi.degree + 1, rows=1)
+    out = np.empty((1,) + (d,) * (phi.degree + 1), dtype=complex)
+    term, mag = np.empty_like(out), np.empty(out.shape)
+    worst = []
+    for a in range(d):
+        _b_rows_into(phi, slice(a, a + 1), out, term)
+        worst.append(np.abs(out, out=mag).max())
+    return float(np.max(worst))
 
 
 def _cyclic_symmetrize(values: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from cycfred.fredholm import index_cocycle, perturb
 from cycfred.models import (
     conjugation_perturbation,
     degenerate_module,
+    discrete_hardy,
     random_reflection_module,
     toy_even_module,
 )
@@ -447,3 +449,18 @@ def test_run_verification_suite_passes():
     for key in ("complex_identities", "index_cocycle", "involution_identity",
                 "boundary_character", "top_component", "witness"):
         assert report[key]["pass"], key
+
+
+def test_run_verification_suite_memory_stays_small_at_hardy_16():
+    # b(b phi) at degree 2 over dim 17 has 17^5 entries (22 MiB); the suite
+    # holds one row of it at a time
+    _, mod = discrete_hardy(16)
+    T = conjugation_perturbation(mod, seed=3, strength=0.2)
+    tracemalloc.start()
+    try:
+        report = run_verification_suite(mod, T, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and report["complex_identities"]["degree"] == 2
+    assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cycfred import fredholm
+from cycfred import chern, cyclic, fredholm
 from cycfred.cli import main
 from cycfred.pairing import c_constant
 from cycfred.serialize import (
@@ -274,6 +274,11 @@ def _bad_input_cases():
     yield pytest.param(
         lambda tmp: ["verify-invariance", "--module", _reflection_file(tmp), "--seed", "-1"],
         "--seed must be non-negative", id="verify-invariance-negative-seed")
+    for eps in ("nan", "inf"):
+        yield pytest.param(
+            lambda tmp, e=eps: ["make-perturbation", "--module", _reflection_file(tmp),
+                                "--eps", e, "-o", str(tmp / "T.json")],
+            f"--eps must be a finite number, got {eps}", id=f"make-perturbation-eps-{eps}")
 
 
 @pytest.mark.parametrize("argv,phrase", _bad_input_cases())
@@ -281,6 +286,36 @@ def test_malformed_input_file_exits_two_with_one_line(argv, phrase, tmp_path, ca
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:") and phrase in err[0], err
+
+
+# Valid modules on which a full-tensor self-check, one degree above the largest
+# tensor the input holds, exceeds the tensor budget: (make-model arguments,
+# tensor budget, identity budget)
+SELF_CHECKS_OVER_BUDGET = {
+    # ut2 at m = 2: the b o b identity runs at degree 4; b phi has 4^6 entries
+    # and b(b phi) 4^7 (Hardy N = 66 at the default budget, in miniature)
+    "identity-b-of-b": (["reflection", "--n", "4"], 4 ** 6, None),
+    # pointwise:2 at m = 6, identity held to degree 2: tau has 3^6 entries, and
+    # b tau and the top component 3^7 (pointwise:11 at m = 6, in miniature)
+    "cocycle-and-top": (["reflection", "--algebra", "pointwise:2", "--m", "6", "--n", "4"],
+                        3 ** 6, 3 ** 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CHECKS_OVER_BUDGET))
+def test_self_checks_never_exit_two_on_admitted_input(name, tmp_path, capsys, monkeypatch):
+    args, budget, identity_budget = SELF_CHECKS_OVER_BUDGET[name]
+    mod_path = str(tmp_path / "m.json")
+    pert_path = str(tmp_path / "T.json")
+    assert main(["make-model", *args, "-o", mod_path]) == 0
+    assert main(["make-perturbation", "--module", mod_path, "--eps", "0.2", "-o", pert_path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cyclic, "MAX_TENSOR_ENTRIES", budget)
+    if identity_budget is not None:
+        monkeypatch.setattr(chern, "MAX_IDENTITY_ENTRIES", identity_budget)
+    assert main(["verify-invariance", "--module", mod_path, "--perturbation", pert_path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.strip().endswith("overall: PASS")
 
 
 def _count_calls(monkeypatch, *names):
@@ -333,6 +368,6 @@ def test_schatten_report_once_per_module(command, tmp_path, monkeypatch):
                                                       seed=2, m=2)), mod_path)
     main(["make-perturbation", "--module", mod_path, "--eps", "0.15", "--seed", "5",
           "-o", pert_path])
-    counts = _count_calls(monkeypatch, "schatten_report", "validate_module")
+    counts = _count_calls(monkeypatch, "schatten_report", "validate_module", "perturb")
     assert main([command, "--module", mod_path, "--perturbation", pert_path]) == 0
-    assert counts == {"schatten_report": 2, "validate_module": 2}
+    assert counts == {"schatten_report": 2, "validate_module": 2, "perturb": 2}

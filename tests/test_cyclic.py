@@ -1,11 +1,17 @@
+from string import ascii_lowercase
+
 import numpy as np
 import pytest
 
+from cycfred import cyclic
 from cycfred.algebra import (
     matrix_units_algebra,
     pointwise_algebra,
+    scalar_algebra,
+    truncated_polynomial_algebra,
     unitalize,
     upper_triangular_algebra,
+    zero_product_algebra,
 )
 from cycfred.cyclic import (
     Chain,
@@ -14,6 +20,8 @@ from cycfred.cyclic import (
     connes_B,
     evaluate_cochain,
     hochschild_b,
+    hochschild_b_max_abs,
+    hochschild_b_rows,
     is_reduced,
     pair_cochain_chain,
     periodicity_S,
@@ -54,6 +62,60 @@ def test_b_of_corner_functional_by_hand():
     e01 = np.array([0, 1, 0, 0.0])
     e10 = np.array([0, 0, 1, 0.0])
     assert abs(evaluate_cochain(bphi, [e01, e10]) - 1.0) < 1e-14
+
+
+def _dense_b(phi):
+    """The full-tensor einsum form of b: the oracle for the row routine."""
+    m = phi.degree
+    d = phi.algebra.dim
+    s = phi.algebra.structure
+    n_out = m + 2
+    out_letters = ascii_lowercase[:n_out]
+    k = ascii_lowercase[n_out]
+    out = np.zeros((d,) * n_out, dtype=complex)
+    for i in range(m + 1):
+        phi_letters = out_letters[:i] + k + out_letters[i + 2:]
+        spec = f"{out_letters[i]}{out_letters[i + 1]}{k},{phi_letters}->{out_letters}"
+        out += (-1) ** i * np.einsum(spec, s, phi.values)
+    phi_letters = k + out_letters[1:n_out - 1]
+    spec = f"{out_letters[-1]}{out_letters[0]}{k},{phi_letters}->{out_letters}"
+    out += (-1) ** (m + 1) * np.einsum(spec, s, phi.values)
+    return out
+
+
+BUILTIN = {
+    "pointwise4": pointwise_algebra(4),
+    "matrix2": matrix_units_algebra(2),
+    "ut2": upper_triangular_algebra(),
+    "zero2": zero_product_algebra(2),
+    "truncated4": truncated_polynomial_algebra(4),
+    "scalar": scalar_algebra(),
+}
+ROW_CASES = {**BUILTIN, **{f"{name}~": unitalize(alg) for name, alg in BUILTIN.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_b_rows_equal_the_dense_oracle(name, degree):
+    alg = ROW_CASES[name]
+    phi = random_cochain(alg, degree, np.random.default_rng(40 + degree))
+    want = _dense_b(phi)
+    assert np.array_equal(hochschild_b(phi).values, want)
+    one_at_a_time = [hochschild_b_rows(phi, slice(a, a + 1)) for a in range(alg.dim)]
+    assert np.array_equal(np.concatenate(one_at_a_time), want)
+    assert np.array_equal(hochschild_b_rows(phi, slice(1, None)), want[1:])
+    assert hochschild_b_max_abs(phi) == np.abs(want).max()
+
+
+def test_b_budget_counts_the_rows_held(monkeypatch):
+    alg = ALGEBRAS[1]                      # dim 4: b of a degree-2 cochain has 4 rows of 64
+    phi = random_cochain(alg, 2, np.random.default_rng(50))
+    monkeypatch.setattr(cyclic, "MAX_TENSOR_ENTRIES", 64)
+    with pytest.raises(BudgetError, match="^dense tensor with dim 4 and degree 3"):
+        hochschild_b(phi)
+    with pytest.raises(BudgetError, match="2 rows of a dense tensor"):
+        hochschild_b_rows(phi, slice(0, 2))
+    assert hochschild_b_max_abs(phi) == np.abs(_dense_b(phi)).max()
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS)
