@@ -35,7 +35,6 @@ from .fredholm import (
     check_stable_perturbation_certificate,
     direct_sum,
     index_cocycle,
-    index_cocycle_total,
     inverse,
     is_degenerate,
     perturb,

@@ -92,6 +92,8 @@ def cmd_make_perturbation(args) -> int:
         raise InputError(f"--eps must be a finite number, got {args.eps}")
     module = load_module(args.module)
     T = models.conjugation_perturbation(module, seed=args.seed, strength=args.eps)
+    if not np.isfinite(T).all():
+        raise InputError(f"--eps {args.eps} overflows: the perturbation has non-finite entries")
     dump_json(perturbation_to_json(T), args.output)
     print(f"wrote conjugation perturbation (eps={args.eps}, seed={args.seed}) to {args.output}")
     return 0

@@ -21,11 +21,15 @@ ending in degree 1 or 0, with coboundary
 
     (b + B)(phi^m, phi^{m-2}, ...) = (b phi^m, B phi^m + b phi^{m-2}, ...).
 
+coboundary_residual, max |(b + B) psi - y| with its first index tuple, is the
+one residual behind every (b + B) check; a NaN ends its scan and becomes the
+result, so a NaN fails every check.
+
 MAX_TENSOR_ENTRIES bounds every cochain tensor the package allocates, the rows
 of the self-checks included, checked before the allocation.  b raises the
 degree, so hochschild_b_rows computes b phi for a block of leading indices
-a0, and hochschild_b_max_abs takes max |b phi| one row at a time: a row of
-b phi has as many entries as phi itself, so a self-check on a cochain the
+a0, and coboundary_residual takes the top component one row at a time: a row
+of b phi has as many entries as phi itself, so a self-check on a cochain the
 budget admitted never exceeds it, and a check on admitted input never exits 2.
 """
 
@@ -156,23 +160,6 @@ def hochschild_b(phi: Cochain) -> Cochain:
     return Cochain(phi.algebra, hochschild_b_rows(phi, slice(None)))
 
 
-def hochschild_b_max_abs(phi: Cochain) -> float:
-    """max |b phi| over all entries, holding one row of b phi at a time.
-
-    The row buffers are allocated once and reused: rows allocated afresh are
-    paged in again on every row (about 5x the page faults of the full tensor).
-    """
-    d = phi.algebra.dim
-    _check_budget(d, phi.degree + 1, rows=1)
-    out = np.empty((1,) + (d,) * (phi.degree + 1), dtype=complex)
-    term, mag = np.empty_like(out), np.empty(out.shape)
-    worst = []
-    for a in range(d):
-        _b_rows_into(phi, slice(a, a + 1), out, term)
-        worst.append(np.abs(out, out=mag).max())
-    return float(np.max(worst))
-
-
 def _cyclic_symmetrize(values: np.ndarray) -> np.ndarray:
     n = values.ndim - 1
     out = np.zeros_like(values)
@@ -226,7 +213,7 @@ class TotalCochain:
         raise InputError(f"no component of degree {degree} in top-degree {self.top_degree} cochain")
 
     def max_abs(self) -> float:
-        return max(float(np.abs(c).max()) for c in self.components)
+        return float(np.max([np.abs(c).max() for c in self.components]))   # NaN propagates
 
 
 def zero_total(algebra: Algebra, top_degree: int) -> TotalCochain:
@@ -254,34 +241,64 @@ def random_total(algebra: Algebra, top_degree: int, rng) -> TotalCochain:
     return TotalCochain(algebra, tuple(comps))
 
 
-def total_sub(x: TotalCochain, y: TotalCochain) -> TotalCochain:
-    if x.top_degree != y.top_degree:
-        raise InputError("top degrees differ")
-    return TotalCochain(x.algebra, tuple(a - b for a, b in zip(x.components, y.components)))
-
-
-def total_scale(x: TotalCochain, c: complex) -> TotalCochain:
-    return TotalCochain(x.algebra, tuple(c * a for a in x.components))
+def _coboundary_component(algebra: Algebra, components, deg: int) -> np.ndarray:
+    """The degree-deg component B psi_(deg+1) + b psi_(deg-1) of (b + B) psi;
+    a zero psi_k (the lower slots of total_from_top) contributes nothing."""
+    out = None
+    for c in components:
+        if c.ndim in (deg, deg + 2) and c.any():
+            term = (connes_B if c.ndim == deg + 2 else hochschild_b)(Cochain(algebra, c)).values
+            out = term if out is None else np.add(out, term, out=out)
+    return np.zeros((algebra.dim,) * (deg + 1), dtype=complex) if out is None else out
 
 
 def total_coboundary(psi: TotalCochain) -> TotalCochain:
     """(b + B) on the totalized complex; raises the top degree by one."""
-    alg = psi.algebra
-    m = psi.top_degree
-    by_degree = {c.ndim - 1: Cochain(alg, c) for c in psi.components}
-    out = []
-    deg = m + 1
-    while deg >= 0:
-        val = np.zeros((alg.dim,) * (deg + 1), dtype=complex)
-        below = by_degree.get(deg - 1)
-        if below is not None:
-            val = val + hochschild_b(below).values
-        above = by_degree.get(deg + 1)
-        if above is not None:
-            val = val + connes_B(above).values
-        out.append(val)
-        deg -= 2
-    return TotalCochain(alg, tuple(out))
+    return TotalCochain(psi.algebra, tuple(_coboundary_component(psi.algebra, psi.components, deg)
+                                           for deg in range(psi.top_degree + 1, -1, -2)))
+
+
+def coboundary_residual(psi: TotalCochain | None, target: Cochain | None = None) -> tuple:
+    """max |(b + B) psi - target| over every entry, and the first index tuple
+    where it occurs (component order, then C order); None when it is zero.
+
+    target is one cochain, subtracted from the component of its own degree;
+    psi None is the empty witness of m = 1.  The top component b psi_top is
+    taken one row a0 at a time in buffers allocated once (rows allocated
+    afresh are paged in again on every row).  A NaN ends the scan as the result.
+    """
+    alg = target.algebra if psi is None else psi.algebra
+    components = () if psi is None else psi.components
+    top = target.degree if psi is None else psi.top_degree + 1
+    goal = {} if target is None else {target.degree: target.values}
+    if any(deg > top or (top - deg) % 2 for deg in goal):
+        raise InputError(f"target degree {target.degree} is not a degree of (b + B) psi")
+
+    def blocks():
+        """(first row a0, rows of (b + B) psi, a buffer for their magnitudes)."""
+        if psi is not None:
+            _check_budget(alg.dim, top, rows=1)
+            out = np.empty((1,) + (alg.dim,) * top, dtype=complex)
+            term, mag = np.empty_like(out), np.empty(out.shape)
+            for a in range(alg.dim):
+                _b_rows_into(Cochain(alg, components[0]), slice(a, a + 1), out, term)
+                yield a, out, mag
+        for deg in range(top if psi is None else top - 2, -1, -2):
+            block = _coboundary_component(alg, components, deg)
+            yield 0, block, np.empty(block.shape)
+
+    worst, where = 0.0, None
+    for row0, block, mag in blocks():
+        if block.ndim - 1 in goal:
+            block -= goal[block.ndim - 1][row0:row0 + len(block)]
+        pos = int(np.abs(block, out=mag).argmax())
+        value = float(mag.flat[pos])
+        if not value <= worst:    # an earlier entry keeps a tie; a NaN ends the scan
+            first, *rest = np.unravel_index(pos, mag.shape)
+            worst, where = value, tuple(int(i) for i in (row0 + first, *rest))
+            if np.isnan(value):
+                break
+    return worst, where
 
 
 def periodicity_S(psi: TotalCochain) -> TotalCochain:

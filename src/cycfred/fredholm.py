@@ -27,20 +27,25 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, same_algebra, unitalize, validate_algebra
-from .cyclic import Cochain, TotalCochain, total_from_top, _check_budget
+from .cyclic import Cochain, _check_budget
 from .errors import InputError
 
 STRUCTURAL_TOL = 1e-10
 
 
 def operator_norm(a: np.ndarray) -> float:
+    """Spectral norm; inf for a matrix with a non-finite entry, which LAPACK cannot take."""
+    if not np.isfinite(a).all():
+        return np.inf
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def schatten_norm(a: np.ndarray, p: float) -> float:
-    """p-Schatten norm (sum of p-th powers of singular values)^(1/p)."""
+    """p-Schatten norm (sum of p-th powers of singular values)^(1/p), or inf."""
     if p < 1:
         raise InputError("Schatten exponent must be >= 1")
+    if not np.isfinite(a).all():
+        return np.inf
     sv = np.linalg.svd(a, compute_uv=False)
     return float((sv ** p).sum() ** (1.0 / p))
 
@@ -145,6 +150,7 @@ def _symmetry_checks(module: FredholmModule, S: np.ndarray, name: str) -> dict:
     return checks
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflowing product reads inf and fails
 def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict:
     """Report-only validation of the module axioms.
 
@@ -170,8 +176,8 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
         J = np.flatnonzero(s[i].any(axis=1))
         K = np.flatnonzero(s[i].any(axis=0))
         products[J] -= (s[i][np.ix_(J, K)] @ flat[K]).reshape(len(J), n, n)
-        hom = max(hom, float(np.abs(products).max()))
-    checks["rep_homomorphism"] = hom
+        hom = np.maximum(hom, np.abs(products).max())       # NaN propagates
+    checks["rep_homomorphism"] = float(hom)
 
     if module.graded:
         g = module.gamma
@@ -183,7 +189,7 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
     eig = np.linalg.eigvalsh(module.gamma if module.graded else (F + F.conj().T) / 2)
     plus, minus = int((eig > 0).sum()), int((eig < 0).sum())
 
-    max_violation = max(checks.values())
+    max_violation = np.max(list(checks.values()))           # NaN propagates
     report = {
         "checks": checks,
         "max_violation": float(max_violation),
@@ -221,11 +227,6 @@ def index_cocycle(module: FredholmModule, validated: bool = False) -> Cochain:
     return Cochain(unitalize(module.algebra), values)
 
 
-def index_cocycle_total(module: FredholmModule, validated: bool = False) -> TotalCochain:
-    """The index cocycle placed in the top slot of a totalized cochain."""
-    return total_from_top(index_cocycle(module, validated=validated))
-
-
 def direct_sum(m1: FredholmModule, m2: FredholmModule) -> FredholmModule:
     if not same_algebra(m1.algebra, m2.algebra):
         raise InputError("direct sum needs modules over the same algebra")
@@ -257,6 +258,7 @@ def involution_defect(F: np.ndarray, T: np.ndarray) -> float:
     return operator_norm(F @ T + T @ F + T @ T)
 
 
+@np.errstate(over="ignore", invalid="ignore")    # an overflowing product reads inf and fails
 def perturb(module: FredholmModule, T: np.ndarray, tol: float = STRUCTURAL_TOL) -> FredholmModule:
     """Replace F by G = F + T; T must keep G a self-adjoint involution.
 
@@ -269,7 +271,7 @@ def perturb(module: FredholmModule, T: np.ndarray, tol: float = STRUCTURAL_TOL) 
     G = module.F + T
     residuals = _symmetry_checks(module, G, "G")
     residuals["FT+TF+T^2"] = involution_defect(module.F, T)
-    bad = {k: v for k, v in residuals.items() if v > tol}
+    bad = {k: v for k, v in residuals.items() if not v <= tol}    # a NaN is bad too
     if bad:
         raise InputError(f"G = F + T is not an involutive symmetry: residuals {bad}")
     return FredholmModule(module.algebra, module.rep, G, module.m, module.gamma)

@@ -140,9 +140,12 @@ def mult_char_exponentials(module: FredholmModule, exponents, logs,
         warnings.warn("the exponential formula is stated over commutative algebras",
                       stacklevel=2)
     for i, (a, b) in enumerate(zip(exponents, logs)):
-        ea = expm(_rep_plain(module, a))
-        eb = expm(_rep_plain(module, b))
-        if operator_norm(ea - eb) > tol * max(1.0, operator_norm(ea)):
+        with np.errstate(over="ignore", invalid="ignore"):     # checked just below
+            ea = expm(_rep_plain(module, a))
+            eb = expm(_rep_plain(module, b))
+        if not np.isfinite(ea).all():
+            raise InputError(f"exp(rep(a)) at index {i} overflows: it has non-finite entries")
+        if not operator_norm(ea - eb) <= tol * max(1.0, operator_norm(ea)):
             raise InputError(f"log mismatch at index {i}: exp(rep(b)) differs from exp(rep(a))")
     value = complex(c_constant(m)) * chern_pairing(module, antisym_cycle(module.algebra, logs))
     return LatticeValue(value, modulus_exponent(m))

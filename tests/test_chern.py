@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cycfred import dga
-from cycfred.algebra import upper_triangular_algebra
+from cycfred.algebra import pointwise_algebra, upper_triangular_algebra
 from cycfred.chern import (
     IntervalForm,
     PerturbationChain,
@@ -28,7 +28,7 @@ from cycfred.chern import (
     verify_perturbation_invariance,
     witness_cochain,
 )
-from cycfred.cyclic import is_reduced, total_coboundary, total_from_top, total_scale, total_sub
+from cycfred.cyclic import Cochain, TotalCochain, coboundary_residual, is_reduced
 from cycfred.errors import BudgetError, InputError
 from cycfred.fredholm import index_cocycle, perturb
 from cycfred.models import (
@@ -403,14 +403,11 @@ def test_corrupted_witness_is_detected():
     T = conjugation_perturbation(mod, seed=77, strength=0.3)
     psi = witness_cochain(mod, T)
     # flip the component sign and re-run the residual check
-    from cycfred.cyclic import TotalCochain
     flipped = TotalCochain(psi.algebra, tuple(-c for c in psi.components))
     tau_f = index_cocycle(mod)
     tau_g = index_cocycle(perturb(mod, T))
-    target = total_scale(total_sub(total_from_top(tau_g), total_from_top(tau_f)),
-                         1.0 / math.factorial(mod.m - 1))
-    resid = total_sub(total_coboundary(flipped), target)
-    assert resid.max_abs() > 1e-3
+    target = Cochain(psi.algebra, (tau_g.values - tau_f.values) / math.factorial(mod.m - 1))
+    assert coboundary_residual(flipped, target)[0] > 1e-3
 
 
 def test_witness_after_summability_relaxation():
@@ -464,3 +461,18 @@ def test_run_verification_suite_memory_stays_small_at_hardy_16():
         tracemalloc.stop()
     assert report["pass"] and report["complex_identities"]["degree"] == 2
     assert peak < 12 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_witness_residual_memory_stays_small_at_pointwise_7_m6():
+    # tau has 8^6 entries (4 MiB) and (b + B) psi a top component of the same
+    # size; the residual holds one row of it and no total-cochain temporaries
+    mod = random_reflection_module(4, pointwise_algebra(7), seed=0, m=6)
+    T = conjugation_perturbation(mod, seed=1, strength=0.2)
+    tracemalloc.start()
+    try:
+        report = verify_perturbation_invariance(mod, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"] and report["worst_tuple"] is not None
+    assert peak < 20 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

@@ -197,6 +197,21 @@ def _reflection_file(tmp_path, size=6, **changes):
     return path
 
 
+def _scaled(field, c):
+    """Module-file changes that scale F, rep or the structure tensor by c."""
+    data = _reflection_data()
+    if field == "structure":
+        algebra = data["algebra"]
+        return {"algebra": {**algebra, "structure": (c * np.asarray(algebra["structure"])).tolist()}}
+    return {field: (c * np.asarray(data[field])).tolist()}
+
+
+def _hardy_file(tmp_path):
+    path = str(tmp_path / "hardy.json")
+    dump_json(module_to_json(discrete_hardy(8)[1]), path)
+    return path
+
+
 def _bad_file(tmp_path, content):
     path = tmp_path / "bad.json"
     if isinstance(content, bytes):
@@ -279,6 +294,25 @@ def _bad_input_cases():
             lambda tmp, e=eps: ["make-perturbation", "--module", _reflection_file(tmp),
                                 "--eps", e, "-o", str(tmp / "T.json")],
             f"--eps must be a finite number, got {eps}", id=f"make-perturbation-eps-{eps}")
+    # overflowing input: every product in the checks reads inf, never a PASS
+    # and never a LinAlgError from LAPACK
+    for command in ("witness", "verify-invariance"):
+        yield pytest.param(
+            lambda tmp, c=command: [c, "--module", _reflection_file(tmp), "--perturbation",
+                                    _bad_file(tmp, {"T": array_to_json(np.full((6, 6), 1e155))})],
+            "G = F + T is not an involutive symmetry", id=f"{command}-T-overflows")
+    for field in ("F", "rep", "structure"):
+        yield pytest.param(
+            lambda tmp, f=field: ["witness", "--module", _reflection_file(tmp, **_scaled(f, 1e200))],
+            "invalid Fredholm module", id=f"witness-{field}-overflows")
+    yield pytest.param(
+        lambda tmp: ["pair", "--module", _hardy_file(tmp),
+                     "--logs", _bad_file(tmp, {"logs": [array_to_json(np.full(8, 1e200))] * 2})],
+        "exp(rep(a)) at index 0 overflows", id="pair-exp-overflows")
+    yield pytest.param(
+        lambda tmp: ["make-perturbation", "--module", _reflection_file(tmp),
+                     "--eps", "1e155", "-o", str(tmp / "T.json")],
+        "--eps 1e+155 overflows", id="make-perturbation-eps-overflows")
 
 
 @pytest.mark.parametrize("argv,phrase", _bad_input_cases())
@@ -286,6 +320,17 @@ def test_malformed_input_file_exits_two_with_one_line(argv, phrase, tmp_path, ca
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:") and phrase in err[0], err
+
+
+@pytest.mark.parametrize("field,check", [("F", "F_involutive"), ("rep", "rep_homomorphism")])
+def test_verify_reports_module_fail_on_overflowing_input(field, check, tmp_path, capsys):
+    report_path = str(tmp_path / "report.json")
+    code = main(["verify-invariance", "--module", _reflection_file(tmp_path, **_scaled(field, 1e200)),
+                 "--report", report_path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "", captured.err
+    assert "module: FAIL" in captured.out.splitlines()
+    assert load_json(report_path)["module"]["checks"][check] == float("inf")
 
 
 # Valid modules on which a full-tensor self-check, one degree above the largest

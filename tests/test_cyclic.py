@@ -1,3 +1,4 @@
+import math
 from string import ascii_lowercase
 
 import numpy as np
@@ -16,11 +17,12 @@ from cycfred.algebra import (
 from cycfred.cyclic import (
     Chain,
     Cochain,
+    TotalCochain,
     chain_boundary,
+    coboundary_residual,
     connes_B,
     evaluate_cochain,
     hochschild_b,
-    hochschild_b_max_abs,
     hochschild_b_rows,
     is_reduced,
     pair_cochain_chain,
@@ -30,7 +32,6 @@ from cycfred.cyclic import (
     restrict_to_scalars,
     total_coboundary,
     total_from_top,
-    total_sub,
     zero_cochain,
     zero_total,
 )
@@ -83,6 +84,18 @@ def _dense_b(phi):
     return out
 
 
+def _dense_residual(x):
+    """max |x| over the components and the first tuple where it occurs, in
+    component order and then C order: the dense oracle for coboundary_residual."""
+    worst, where = 0.0, None
+    for c in x.components:
+        a = np.abs(c)
+        m = float(a.max()) if a.size else 0.0
+        if m > worst:
+            worst, where = m, tuple(int(t) for t in np.unravel_index(a.argmax(), a.shape))
+    return worst, where
+
+
 BUILTIN = {
     "pointwise4": pointwise_algebra(4),
     "matrix2": matrix_units_algebra(2),
@@ -104,7 +117,10 @@ def test_b_rows_equal_the_dense_oracle(name, degree):
     one_at_a_time = [hochschild_b_rows(phi, slice(a, a + 1)) for a in range(alg.dim)]
     assert np.array_equal(np.concatenate(one_at_a_time), want)
     assert np.array_equal(hochschild_b_rows(phi, slice(1, None)), want[1:])
-    assert hochschild_b_max_abs(phi) == np.abs(want).max()
+    if alg.unit is not None:           # connes_B needs a unit
+        lower = total_coboundary(total_from_top(phi)).components[1:]
+        want_total = TotalCochain(alg, (want,) + lower)
+        assert coboundary_residual(total_from_top(phi)) == _dense_residual(want_total)
 
 
 def test_b_budget_counts_the_rows_held(monkeypatch):
@@ -115,7 +131,63 @@ def test_b_budget_counts_the_rows_held(monkeypatch):
         hochschild_b(phi)
     with pytest.raises(BudgetError, match="2 rows of a dense tensor"):
         hochschild_b_rows(phi, slice(0, 2))
-    assert hochschild_b_max_abs(phi) == np.abs(_dense_b(phi)).max()
+    want = max(np.abs(_dense_b(phi)).max(), np.abs(connes_B(phi).values).max())
+    assert coboundary_residual(total_from_top(phi))[0] == want
+
+
+def _minus(total, target):
+    """total with target subtracted from the component of its own degree."""
+    return TotalCochain(total.algebra, tuple(
+        c - target.values if c.ndim == target.values.ndim else c for c in total.components))
+
+
+UNITAL_CASES = sorted(name for name, alg in ROW_CASES.items() if alg.unit is not None)
+
+
+@pytest.mark.parametrize("name", UNITAL_CASES)
+@pytest.mark.parametrize("top", [0, 1, 2, 3])
+def test_coboundary_residual_equals_the_dense_oracle(name, top):
+    alg = ROW_CASES[name]
+    rng = np.random.default_rng(60 + top)
+    psi = random_total(alg, top, rng)
+    d_psi = total_coboundary(psi)
+    assert coboundary_residual(psi) == _dense_residual(d_psi)
+    for degree in range(top + 1, -1, -2):
+        target = random_cochain(alg, degree, rng)
+        want = _dense_residual(_minus(d_psi, target))
+        assert coboundary_residual(psi, target) == want
+
+
+def test_coboundary_residual_zero_reports_no_tuple():
+    alg = ALGEBRAS[1]
+    rng = np.random.default_rng(70)
+    assert coboundary_residual(zero_total(alg, 2)) == (0.0, None)
+    # a degree-0 psi has the one component b psi_0, cancelled by its target
+    phi = random_cochain(alg, 0, rng)
+    assert coboundary_residual(total_from_top(phi), hochschild_b(phi)) == (0.0, None)
+    # psi None is the empty witness of m = 1: the residual is max |target|
+    assert coboundary_residual(None, zero_cochain(alg, 0)) == (0.0, None)
+    target = random_cochain(alg, 0, rng)
+    assert coboundary_residual(None, target) == _dense_residual(total_from_top(target))
+
+
+@pytest.mark.parametrize("where", ["top", "lower", "target"])
+def test_coboundary_residual_nan_is_the_result(where):
+    alg = ALGEBRAS[1]
+    rng = np.random.default_rng(71)
+    psi = random_total(alg, 2, rng)
+    target = random_cochain(alg, 3, rng)
+    if where == "top":
+        psi.components[0][1, 2, 0] = np.nan
+    elif where == "lower":
+        psi.components[1][0] = np.nan      # only b psi_0 in degree 1 sees it
+    else:
+        target.values[3, 0, 1, 2] = np.nan
+    resid, worst = coboundary_residual(psi, target)
+    assert math.isnan(resid)
+    assert len(worst) == (2 if where == "lower" else 4)
+    if where == "target":
+        assert worst == (3, 0, 1, 2)
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS)
@@ -159,7 +231,7 @@ def test_total_coboundary_commutes_with_shift():
     psi = random_total(alg, 2, rng)
     lhs = total_coboundary(periodicity_S(psi))
     rhs = periodicity_S(total_coboundary(psi))
-    assert total_sub(lhs, rhs).max_abs() < 1e-12
+    assert max(np.abs(a - b).max() for a, b in zip(lhs.components, rhs.components)) < 1e-12
 
 
 def test_shift_layout():

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from cycfred.algebra import pointwise_algebra, upper_triangular_algebra
-from cycfred.cyclic import is_reduced, total_coboundary
+from cycfred.cyclic import is_reduced, total_coboundary, total_from_top
 from cycfred.errors import InputError
 from cycfred.fredholm import (
     FredholmModule,
     direct_sum,
     embedded_as_module,
     index_cocycle,
-    index_cocycle_total,
     inverse,
     involution_defect,
     is_degenerate,
@@ -117,7 +116,7 @@ def test_scalar_representation_gives_zero_cocycle_at_m1():
 ])
 def test_index_cocycle_is_a_cocycle(make):
     mod = make()
-    resid = total_coboundary(index_cocycle_total(mod)).max_abs()
+    resid = total_coboundary(total_from_top(index_cocycle(mod))).max_abs()
     assert resid < 1e-9
 
 
@@ -137,7 +136,7 @@ def test_index_cocycles_are_reduced_for_valid_modules():
     for mod in (discrete_hardy_graded(4, seed=0)[1],
                 toy_even_module(3, seed=1, m=3)[1],
                 random_reflection_module(6, UT, seed=1, m=2)):
-        assert is_reduced(index_cocycle_total(mod), tol=1e-10)
+        assert is_reduced(total_from_top(index_cocycle(mod)), tol=1e-10)
 
 
 def test_direct_sum_additivity_and_dims():
@@ -193,6 +192,19 @@ def test_perturb_rejects_non_involution():
         perturb(mod, 0.1 * np.eye(mod.n))
 
 
+def test_a_nan_residual_never_passes(monkeypatch):
+    from cycfred import fredholm
+
+    mod = random_reflection_module(6, UT, seed=12, m=2)
+    bad_rep = mod.rep.copy()
+    bad_rep[1, 0, 0] = np.nan
+    report = validate_module(FredholmModule(mod.algebra, bad_rep, mod.F, mod.m))
+    assert np.isnan(report["checks"]["rep_homomorphism"]) and not report["pass"]
+    monkeypatch.setattr(fredholm, "involution_defect", lambda F, T: float("nan"))
+    with pytest.raises(InputError, match="FT\\+TF\\+T\\^2"):
+        perturb(mod, np.zeros_like(mod.F))
+
+
 def test_perturb_rejects_grading_violation():
     # a conjugation whose generator mixes the grading blocks changes gamma
     from scipy.linalg import expm
@@ -233,7 +245,7 @@ def test_summability_relaxation():
     relaxed = relax_summability(mod)
     assert relaxed.m == 4
     assert validate_module(relaxed)["pass"]
-    assert total_coboundary(index_cocycle_total(relaxed)).max_abs() < 1e-9
+    assert total_coboundary(total_from_top(index_cocycle(relaxed))).max_abs() < 1e-9
 
 
 def test_rep_tilde_sends_unit_to_identity():
