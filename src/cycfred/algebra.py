@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 
-ASSOC_TOL = 1e-12
+ASSOC_TOL = 1e-12   # algebra axioms and commutativity; the other verdict bounds are in cyclic
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +169,7 @@ def _associativity(s: np.ndarray) -> tuple:
     return worst, worst_triple
 
 
-def validate_algebra(algebra: Algebra, tol: float = ASSOC_TOL) -> dict:
+def validate_algebra(algebra: Algebra) -> dict:
     """Report-only check of associativity, unit laws and grading.
 
     Returns a dict with per-invariant pass flags, the largest violation
@@ -178,7 +178,7 @@ def validate_algebra(algebra: Algebra, tol: float = ASSOC_TOL) -> dict:
     s = algebra.structure
     worst, worst_triple = _associativity(s)
     report = {
-        "associative": worst <= tol,
+        "associative": worst <= ASSOC_TOL,
         "associativity_violation": worst,
         "worst_triple": worst_triple,
     }
@@ -189,7 +189,7 @@ def validate_algebra(algebra: Algebra, tol: float = ASSOC_TOL) -> dict:
         lu = np.einsum("i,ijk->jk", u, s)
         ru = np.einsum("j,ijk->ik", u, s)
         unit_violation = float(max(np.abs(lu - eye).max(), np.abs(ru - eye).max()))
-        report["unit_ok"] = unit_violation <= tol
+        report["unit_ok"] = unit_violation <= ASSOC_TOL
         report["unit_violation"] = unit_violation
     else:
         report["unit_ok"] = True
@@ -200,7 +200,7 @@ def validate_algebra(algebra: Algebra, tol: float = ASSOC_TOL) -> dict:
         i, j, k = np.nonzero(s)
         off = np.abs(s[i, j, k][g[k] != g[i] + g[j]])
         bad = float(off.max()) if off.size else 0.0
-        report["graded_ok"] = bad <= tol
+        report["graded_ok"] = bad <= ASSOC_TOL
         report["grading_violation"] = bad
     else:
         report["graded_ok"] = True

@@ -20,9 +20,8 @@ from .chern import (
     curvature,
     run_verification_suite,
     verify_perturbation_invariance,
-    witness_cochain,
 )
-from .cyclic import MAX_N, _check_budget
+from .cyclic import DERIVED_TOL, MAX_N, WITNESS_TOL, _check_budget
 from .errors import BudgetError, InputError
 from .fredholm import perturb
 from .pairing import c_constant, mult_char_exponentials, lattice_reduce
@@ -108,9 +107,11 @@ def _load_perturbation(args, module):
 def cmd_verify(args) -> int:
     module = load_module(args.module, args.m, args.budget_n)
     T = _load_perturbation(args, module)
-    report = run_verification_suite(module, T, tol_witness=args.tol, seed=args.seed)
-    if args.dump_witness:
-        report["witness_dump"] = _witness_dump(module, T)
+    report = run_verification_suite(module, T, tol=args.tol, seed=args.seed)
+    if "witness" in report:                # a failing module stops the suite before the witness
+        psi = report["witness"].pop("witness")
+        if args.dump_witness:
+            report["witness_dump"] = _witness_dump(module, T, psi)
     if args.report:
         dump_json(report, args.report)
     for key, sub in report.items():
@@ -125,7 +126,8 @@ def _terms(x) -> list:
             for (k, e, w), c in sorted(x.terms.items(), key=str)]
 
 
-def _witness_dump(module, T) -> dict:
+def _witness_dump(module, T, psi) -> dict:
+    """The symbolic curvature and connection terms, and the witness psi already built."""
     chain = PerturbationChain(module, T)
     dump = {
         "curvature_terms": _terms(curvature(chain)),
@@ -133,7 +135,6 @@ def _witness_dump(module, T) -> dict:
             chain.at.labels[i]: _terms(chain.nabla_rho_basis(i)) for i in range(chain.at.dim)
         },
     }
-    psi = witness_cochain(module, T)
     dump["witness_components"] = (
         [] if psi is None else [array_to_json(c) for c in psi.components]
     )
@@ -154,7 +155,7 @@ def cmd_witness(args) -> int:
         "components": [] if psi is None else [array_to_json(c) for c in psi.components],
     }
     if args.dump_witness:
-        out["witness_dump"] = _witness_dump(module, T)
+        out["witness_dump"] = _witness_dump(module, T, psi)
     if args.report:
         dump_json(out, args.report)
     print(f"witness residual {report['max_residual']:.3e} "
@@ -165,7 +166,7 @@ def cmd_witness(args) -> int:
 def cmd_pair(args) -> int:
     module = load_module(args.module, args.m, args.budget_n)
     exponents, logs = logs_from_json(load_json(args.logs))
-    value = mult_char_exponentials(module, exponents, logs, tol=args.tol or 1e-9)
+    value = mult_char_exponentials(module, exponents, logs, tol=args.tol)
     reduced = lattice_reduce(value.representative, module.m)
     # the same contraction before the c(m) scale; c(m) is never zero
     raw_pairing = value.representative / complex(c_constant(module.m))
@@ -177,7 +178,7 @@ def cmd_pair(args) -> int:
     }
     if args.perturbation:
         perturbed = perturb(module, _load_perturbation(args, module))
-        post = mult_char_exponentials(perturbed, exponents, logs, tol=args.tol or 1e-9)
+        post = mult_char_exponentials(perturbed, exponents, logs, tol=args.tol)
         out["representative_after_perturbation"] = [
             post.representative.real, post.representative.imag,
         ]
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--module", required=True)
         p.add_argument("--perturbation")
         p.add_argument("--m", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=WITNESS_TOL)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report")
         p.add_argument("--budget-n", type=int, default=0)
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--logs", required=True)
     pp.add_argument("--perturbation")
     pp.add_argument("--m", type=int, default=0)
-    pp.add_argument("--tol", type=float, default=0.0)
+    pp.add_argument("--tol", type=float, default=DERIVED_TOL)
     pp.add_argument("--report")
     pp.add_argument("--budget-n", type=int, default=0)
     pp.set_defaults(func=cmd_pair)
@@ -240,6 +241,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise InputError(f"--seed must be non-negative, got {args.seed}")
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:     # a NaN fails this too
+            raise InputError(f"--tol must be a finite non-negative number, got {args.tol}")
         return args.func(args)
     except (InputError, BudgetError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -49,6 +49,14 @@ MAX_TENSOR_ENTRIES = 20_000_000  # entries of one dense cochain tensor
 MAX_IDENTITY_ENTRIES = 500_000   # dim^(degree + 3) of the sampled b/B identity checks
 MAX_N = 64                       # Hilbert dimension of a command-line run (--budget-n overrides)
 MAX_M = 6                        # summability degree of a command-line run
+# The verdict policy: the fixed acceptance bound of every check (algebra.ASSOC_TOL
+# is in algebra, which this module imports).  Only WITNESS_TOL and DERIVED_TOL
+# are also defaults of a --tol: of the witness identity and of pair's log matching.
+IDENTITY_SAMPLES = 5             # random cochains of the (b + B)^2 = 0 ladder
+STRUCTURAL_TOL = 1e-10           # module axioms, G = F + T, the ladder, FT + TF + T^2 = 0
+DERIVED_TOL = 1e-9               # index cocycle, boundary character, log matching of pair
+WITNESS_TOL = 1e-8               # the witness and cobordism identities
+ANALYTIC_TOL = 1e-6              # lattice_eq
 
 
 def _check_budget(dim: int, degree: int, rows: int | None = None):

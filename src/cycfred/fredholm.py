@@ -27,10 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, same_algebra, unitalize, validate_algebra
-from .cyclic import Cochain, _check_budget
+from .cyclic import STRUCTURAL_TOL, Cochain, _check_budget
 from .errors import InputError
-
-STRUCTURAL_TOL = 1e-10
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -151,7 +149,7 @@ def _symmetry_checks(module: FredholmModule, S: np.ndarray, name: str) -> dict:
 
 
 @np.errstate(over="ignore", invalid="ignore")    # an overflowing product reads inf and fails
-def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict:
+def validate_module(module: FredholmModule) -> dict:
     """Report-only validation of the module axioms.
 
     Checks F = F*, F^2 = 1, that rep is an algebra homomorphism, the grading
@@ -202,14 +200,14 @@ def validate_module(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict
         "schatten": schatten_report(module),
         "algebra": validate_algebra(module.algebra),
     }
-    report["pass"] = bool(max_violation <= tol and report["eigenspaces_nonzero"]
+    report["pass"] = bool(max_violation <= STRUCTURAL_TOL and report["eigenspaces_nonzero"]
                           and report["algebra"]["pass"])
     return report
 
 
-def require_valid(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> dict:
+def require_valid(module: FredholmModule) -> dict:
     """validate_module, raising InputError when the module fails it."""
-    report = validate_module(module, tol=tol)
+    report = validate_module(module)
     if not report["pass"]:
         raise InputError(f"invalid Fredholm module: {report['checks']}")
     return report
@@ -259,7 +257,7 @@ def involution_defect(F: np.ndarray, T: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")    # an overflowing product reads inf and fails
-def perturb(module: FredholmModule, T: np.ndarray, tol: float = STRUCTURAL_TOL) -> FredholmModule:
+def perturb(module: FredholmModule, T: np.ndarray) -> FredholmModule:
     """Replace F by G = F + T; T must keep G a self-adjoint involution.
 
     In the graded case the grading is kept, so G must anticommute with it.
@@ -271,23 +269,23 @@ def perturb(module: FredholmModule, T: np.ndarray, tol: float = STRUCTURAL_TOL) 
     G = module.F + T
     residuals = _symmetry_checks(module, G, "G")
     residuals["FT+TF+T^2"] = involution_defect(module.F, T)
-    bad = {k: v for k, v in residuals.items() if not v <= tol}    # a NaN is bad too
+    bad = {k: v for k, v in residuals.items() if not v <= STRUCTURAL_TOL}    # a NaN is bad too
     if bad:
         raise InputError(f"G = F + T is not an involutive symmetry: residuals {bad}")
     return FredholmModule(module.algebra, module.rep, G, module.m, module.gamma)
 
 
-def is_degenerate(module: FredholmModule, tol: float = STRUCTURAL_TOL) -> bool:
+def is_degenerate(module: FredholmModule) -> bool:
     """True when every generator commutator [F, rep(e_i)] vanishes."""
     comm = commutators_tilde(module)
-    return float(np.abs(comm).max()) <= tol if comm.size else True
+    return float(np.abs(comm).max()) <= STRUCTURAL_TOL if comm.size else True
 
 
-def unitary_conjugate(module: FredholmModule, u: np.ndarray, tol: float = STRUCTURAL_TOL) -> FredholmModule:
+def unitary_conjugate(module: FredholmModule, u: np.ndarray) -> FredholmModule:
     u = np.asarray(u, dtype=complex)
     if u.shape != (module.n, module.n):
         raise InputError("conjugating unitary has the wrong shape")
-    if operator_norm(u @ u.conj().T - np.eye(module.n)) > tol:
+    if operator_norm(u @ u.conj().T - np.eye(module.n)) > STRUCTURAL_TOL:
         raise InputError("conjugation requires a unitary matrix")
     rep = np.einsum("ab,ibc,cd->iad", u, module.rep, u.conj().T)
     F = u @ module.F @ u.conj().T
@@ -302,8 +300,7 @@ def relax_summability(module: FredholmModule) -> FredholmModule:
 
 def check_stable_perturbation_certificate(f1: FredholmModule, f2: FredholmModule,
                                           u: np.ndarray, T: np.ndarray,
-                                          g1=None, g2=None, h=None, d1=None, d2=None,
-                                          tol: float = STRUCTURAL_TOL) -> dict:
+                                          g1=None, g2=None, h=None, d1=None, d2=None) -> dict:
     """Verify a stable-perturbation certificate between two modules.
 
     The claim being certified is
@@ -337,8 +334,8 @@ def check_stable_perturbation_certificate(f1: FredholmModule, f2: FredholmModule
         return report
     for name, d in (("d1", d1), ("d2", d2)):
         if d is not None:
-            report[f"{name}_degenerate"] = is_degenerate(d, tol)
-    conjugated = unitary_conjugate(left, u, tol)
+            report[f"{name}_degenerate"] = is_degenerate(d)
+    conjugated = unitary_conjugate(left, u)
     residuals = {
         "rep": float(np.abs(conjugated.rep - right.rep).max()),
         "symmetry": operator_norm(conjugated.F + np.asarray(T, dtype=complex) - right.F),
@@ -354,8 +351,8 @@ def check_stable_perturbation_certificate(f1: FredholmModule, f2: FredholmModule
     ).max())
     report["padding_cancellation"] = padding_cancels
     report["pass"] = bool(
-        max(residuals.values()) <= tol
-        and padding_cancels <= 10 * tol
+        max(residuals.values()) <= STRUCTURAL_TOL
+        and padding_cancels <= 10 * STRUCTURAL_TOL
         and all(report.get(f"{name}_degenerate", True) for name in ("d1", "d2"))
     )
     return report
@@ -377,7 +374,7 @@ class EmbeddedModule:
     )
 
 
-def universal_embed(module: FredholmModule, tol: float = STRUCTURAL_TOL):
+def universal_embed(module: FredholmModule):
     """Rewrite the module in the eigenbasis splitting of the universal picture.
 
     Ungraded case (m even): split by the eigenspaces of F via P = (F + 1)/2;
@@ -415,7 +412,7 @@ def universal_embed(module: FredholmModule, tol: float = STRUCTURAL_TOL):
 
     rep = np.einsum("ab,ibc,cd->iad", basis.conj().T, module.rep, basis)
     F_check = basis.conj().T @ module.F @ basis
-    if operator_norm(F_check - F_model) > 1e3 * tol * max(1.0, operator_norm(module.F)):
+    if operator_norm(F_check - F_model) > 1e3 * STRUCTURAL_TOL * max(1.0, operator_norm(module.F)):
         raise InputError("eigenbasis split failed to bring F to the model form")
 
     embedded = EmbeddedModule(basis, rep, F_model, gamma_model, p, q)

@@ -19,8 +19,8 @@ from itertools import permutations
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import Algebra, embed_element, unitalize, as_element
-from .cyclic import Chain, pair_cochain_chain
+from .algebra import ASSOC_TOL, Algebra, embed_element, unitalize, as_element
+from .cyclic import ANALYTIC_TOL, DERIVED_TOL, Chain, pair_cochain_chain
 from .errors import InputError
 from .fredholm import FredholmModule, index_cocycle, operator_norm
 
@@ -74,16 +74,16 @@ def lattice_reduce(z: complex, m: int) -> LatticeValue:
     return LatticeValue(complex(z), modulus_exponent(m)).reduced()
 
 
-def lattice_eq(z: complex, w: complex, m: int, tol: float = 1e-6) -> bool:
+def lattice_eq(z: complex, w: complex, m: int) -> bool:
     g = lattice_generator(m)
     diff = complex(z) - complex(w)
     k = _nearest_multiple(diff, g)
-    return abs(diff - k * g) <= tol
+    return abs(diff - k * g) <= ANALYTIC_TOL
 
 
-def is_commutative(algebra: Algebra, tol: float = 1e-12) -> bool:
+def is_commutative(algebra: Algebra) -> bool:
     s = algebra.structure
-    return float(np.abs(s - s.transpose(1, 0, 2)).max()) <= tol
+    return float(np.abs(s - s.transpose(1, 0, 2)).max()) <= ASSOC_TOL
 
 
 def antisym_cycle(algebra: Algebra, logs) -> Chain:
@@ -126,7 +126,7 @@ def _rep_plain(module: FredholmModule, x) -> np.ndarray:
 
 
 def mult_char_exponentials(module: FredholmModule, exponents, logs,
-                           tol: float = 1e-9) -> LatticeValue:
+                           tol: float = DERIVED_TOL) -> LatticeValue:
     """Character value on the exponential product data (e^{a_0}, ..., e^{a_{m-1}}).
 
     The logs may be any branches with exp(rep(b_i)) = exp(rep(a_i)); the

@@ -178,8 +178,13 @@ def _encode(obj):
 
 
 def to_json(data) -> str:
-    """Compact JSON text of a report or file, written by the C encoder."""
-    return json.dumps(data, default=_encode)
+    """Compact strict JSON text of a report or file, written by the C encoder;
+    a non-finite float is written as the string "Infinity", "-Infinity" or "NaN"."""
+    try:
+        return json.dumps(data, default=_encode, allow_nan=False)
+    except ValueError:
+        spelled = json.loads(json.dumps(data, default=_encode), parse_constant=str)
+        return json.dumps(spelled, allow_nan=False)
 
 
 def load_json(path: str) -> dict:

@@ -330,7 +330,7 @@ def test_criterion_09_lattice_well_definedness():
             shifted = [a[0] + TWO_PI_I * chi, a[1]]
         v1 = mult_char_exponentials(mod, a, a)
         v2 = mult_char_exponentials(mod, a, shifted)
-        if not lattice_eq(v1.representative, v2.representative, mod.m, tol=1e-6):
+        if not lattice_eq(v1.representative, v2.representative, mod.m):
             failures.append((seed, v1.representative, v2.representative))
     elapsed = time.time() - start
     report(9, "lattice well-definedness", not failures, f"failures {failures}", elapsed)

@@ -313,6 +313,17 @@ def _bad_input_cases():
         lambda tmp: ["make-perturbation", "--module", _reflection_file(tmp),
                      "--eps", "1e155", "-o", str(tmp / "T.json")],
         "--eps 1e+155 overflows", id="make-perturbation-eps-overflows")
+    # a --tol that would turn a verdict wrong: inf passes every residual,
+    # nan and a negative bound fail every one
+    for command in ("witness", "verify-invariance", "pair"):
+        for tol in ("inf", "nan", "-1"):
+            yield pytest.param(
+                lambda tmp, c=command, t=tol: [
+                    c, "--module", _hardy_file(tmp), "--tol", t,
+                    *(["--logs", _bad_file(tmp, {"logs": [array_to_json(np.zeros(8))] * 2})]
+                      if c == "pair" else [])],
+                f"--tol must be a finite non-negative number, got {float(tol)}",
+                id=f"{command}-tol-{tol}")
 
 
 @pytest.mark.parametrize("argv,phrase", _bad_input_cases())
@@ -330,7 +341,46 @@ def test_verify_reports_module_fail_on_overflowing_input(field, check, tmp_path,
     captured = capsys.readouterr()
     assert code == 1 and captured.err == "", captured.err
     assert "module: FAIL" in captured.out.splitlines()
-    assert load_json(report_path)["module"]["checks"][check] == float("inf")
+    with open(report_path, encoding="utf-8") as fh:      # strict JSON: no Infinity constant
+        report = json.load(fh, parse_constant=_reject_constant)
+    assert report["module"]["checks"][check] == "Infinity"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_verify_dump_witness_skips_a_failing_module(tmp_path, capsys):
+    report_path = str(tmp_path / "report.json")
+    code = main(["verify-invariance", "--module", _reflection_file(tmp_path, **_scaled("F", 1e200)),
+                 "--report", report_path, "--dump-witness"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == "", captured.err
+    assert "module: FAIL" in captured.out.splitlines()
+    report = load_json(report_path)
+    assert "witness" not in report and "witness_dump" not in report
+
+
+@pytest.mark.parametrize("command", ["verify-invariance", "witness"])
+def test_dump_witness_builds_the_witness_once(command, tmp_path, monkeypatch):
+    mod_path = str(tmp_path / "refl.json")
+    pert_path = str(tmp_path / "T.json")
+    report_path = str(tmp_path / "report.json")
+    dump_json(module_to_json(random_reflection_module(6, upper_triangular_algebra(),
+                                                      seed=2, m=2)), mod_path)
+    main(["make-perturbation", "--module", mod_path, "--eps", "0.15", "--seed", "5",
+          "-o", pert_path])
+    counts = _count_calls(monkeypatch, "witness_cochain", source=chern)
+    assert main([command, "--module", mod_path, "--perturbation", pert_path,
+                 "--report", report_path, "--dump-witness"]) == 0
+    assert counts == {"witness_cochain": 1}
+    report = load_json(report_path)
+    dumped = report["witness_dump"]["witness_components"]
+    assert np.asarray(dumped).shape == (1, 4, 2)      # psi_0 over the unitalized ut2
+    if command == "witness":
+        assert dumped == report["components"]
+    else:
+        assert "witness" not in report["witness"]
 
 
 # Valid modules on which a full-tensor self-check, one degree above the largest
@@ -363,13 +413,13 @@ def test_self_checks_never_exit_two_on_admitted_input(name, tmp_path, capsys, mo
     assert captured.err == "" and captured.out.strip().endswith("overall: PASS")
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap each named fredholm function at every cycfred binding; return the counts."""
+def _count_calls(monkeypatch, *names, source=fredholm):
+    """Wrap each named function of source at every cycfred binding; return the counts."""
     counts = Counter()
     modules = [m for key, m in sys.modules.items()
                if key == "cycfred" or key.startswith("cycfred.")]
     for name in names:
-        orig = getattr(fredholm, name)
+        orig = getattr(source, name)
 
         def wrapper(*args, _orig=orig, _name=name, **kwargs):
             counts[_name] += 1

@@ -323,13 +323,13 @@ def test_stable_perturbation_certificate():
     T[off + g.n:off + 2 * g.n, off + g.n:off + 2 * g.n] = -tg
 
     report = check_stable_perturbation_certificate(
-        f1, f2, u, T, g1=g, g2=g2, h=h, d1=d, tol=1e-10)
+        f1, f2, u, T, g1=g, g2=g2, h=h, d1=d)
     assert report["pass"], report
     assert report["d1_degenerate"]
     assert report["padding_cancellation"] < 1e-9
 
     broken = check_stable_perturbation_certificate(
-        f1, f2, np.eye(total), T, g1=g, g2=g2, h=h, d1=d, tol=1e-10)
+        f1, f2, np.eye(total), T, g1=g, g2=g2, h=h, d1=d)
     assert not broken["pass"]
 
 

@@ -49,7 +49,7 @@ UT = upper_triangular_algebra()
 ])
 def test_constructors_produce_valid_modules(make):
     mod = make()
-    report = validate_module(mod, tol=1e-10)
+    report = validate_module(mod)
     assert report["pass"], report["checks"]
 
 

@@ -82,7 +82,7 @@ def test_lattice_reduce_examples():
     assert lattice_reduce(0.0, 3).representative == 0.0
     z = 0.3 - 0.7j
     assert lattice_eq(z, z + TWO_PI_I ** 2, 3)
-    assert not lattice_eq(z, z + TWO_PI_I ** 2 / 2, 3, tol=1e-6)
+    assert not lattice_eq(z, z + TWO_PI_I ** 2 / 2, 3)
 
 
 @given(st.integers(-50, 50), st.integers(1, 5),
@@ -180,7 +180,7 @@ def test_branch_shift_invariance_m1(seed):
     shifted = [a[0] + TWO_PI_I * chi]
     v1 = mult_char_exponentials(mod, a, a)
     v2 = mult_char_exponentials(mod, a, shifted)
-    assert lattice_eq(v1.representative, v2.representative, 1, tol=1e-6)
+    assert lattice_eq(v1.representative, v2.representative, 1)
 
 
 def test_branch_shift_changes_raw_value_m1():
@@ -208,7 +208,7 @@ def test_branch_shift_invariance_m2(seed):
     chi = rng.integers(0, 2, size=N).astype(float)
     v1 = mult_char_exponentials(mod, [b0, b1], [b0, b1])
     v2 = mult_char_exponentials(mod, [b0, b1], [b0, b1 + TWO_PI_I * chi])
-    assert lattice_eq(v1.representative, v2.representative, 2, tol=1e-6)
+    assert lattice_eq(v1.representative, v2.representative, 2)
 
 
 def test_m1_character_exponentiates_to_determinant_ratio():

@@ -1,9 +1,11 @@
 """Property tests of the checked input boundary in cycfred.serialize, and
 the JSON form of reports."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from cycfred.algebra import scalar_algebra, upper_triangular_algebra
@@ -18,7 +20,9 @@ from cycfred.serialize import (
     module_from_json,
     module_to_json,
     perturbation_from_json,
+    to_json,
 )
+from cycfred import serialize
 
 # the exceptions cli.main turns into exit code 2
 REJECTED = (InputError, BudgetError, KeyError)
@@ -118,3 +122,25 @@ def test_reports_are_written_as_compact_json(tmp_path):
         "3": "int key",
     }
     assert len(path.read_text().splitlines()) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_non_finite_floats_are_written_as_strings():
+    report = {"inf": float("inf"), "list": [-np.inf, float("nan"), 1.5],
+              "np": np.float64(np.inf), "array": np.array([np.inf - 1j]), "ok": 0.1}
+    text = to_json(report)
+    assert json.loads(text, parse_constant=_reject_constant) == {
+        "inf": "Infinity", "list": ["-Infinity", "NaN", 1.5],
+        "np": "Infinity", "array": [["Infinity", -1.0]], "ok": 0.1,
+    }
+
+
+@pytest.mark.parametrize("report", [
+    {"float": 0.1, "nested": [1, (2.5, -0.0)], 3: None},
+    {"array": np.array([[1 + 2j, 0.5]]), "np": np.float64(1e300)},
+])
+def test_finite_reports_keep_the_default_encoding(report):
+    assert to_json(report) == json.dumps(report, default=serialize._encode)
