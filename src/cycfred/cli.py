@@ -21,7 +21,7 @@ from .chern import (
     run_verification_suite,
     verify_perturbation_invariance,
 )
-from .cyclic import DERIVED_TOL, MAX_N, WITNESS_TOL, _check_budget
+from .cyclic import DERIVED_TOL, MAX_M, MAX_N, WITNESS_TOL, _check_budget
 from .errors import BudgetError, InputError
 from .fredholm import perturb
 from .pairing import c_constant, mult_char_exponentials, lattice_reduce
@@ -68,6 +68,8 @@ def cmd_make_model(args) -> int:
     flag, size = ("--N", args.N) if args.kind.startswith("hardy") else ("--n", args.n)
     if _positive(size, flag) > MAX_N:
         raise BudgetError(f"{flag} {size} exceeds the budget {MAX_N}")
+    if not 0 <= args.m <= MAX_M:
+        raise BudgetError(f"--m {args.m} is outside 0..{MAX_M} (0 picks the model's default)")
     if args.kind == "hardy":
         _, module = models.discrete_hardy(args.N)
     elif args.kind == "hardy-graded":

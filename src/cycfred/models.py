@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .algebra import (
     Algebra,
@@ -77,16 +76,14 @@ def _irreps(algebra: Algebra):
 def random_exact_rep(algebra: Algebra, n: int, rng) -> np.ndarray:
     """Random direct sum of integer irreps filling dimension n."""
     irreps = _irreps(algebra)
-    blocks = []
-    remaining = n
-    while remaining > 0:
-        options = [r for r in irreps if r.shape[1] <= remaining]
-        pick = options[int(rng.integers(0, len(options)))]
-        blocks.append(pick)
-        remaining -= pick.shape[1]
     rep = np.zeros((algebra.dim, n, n), dtype=complex)
-    for i in range(algebra.dim):
-        rep[i] = block_diag(*[b[i] for b in blocks])
+    s = 0
+    while s < n:
+        options = [r for r in irreps if r.shape[1] <= n - s]
+        pick = options[int(rng.integers(0, len(options)))]
+        k = pick.shape[1]
+        rep[:, s:s + k, s:s + k] = pick
+        s += k
     return rep
 
 
@@ -222,15 +219,20 @@ def degenerate_module(algebra: Algebra, n: int, m: int, seed: int = 0) -> Fredho
 def conjugation_perturbation(module: FredholmModule, seed: int = 0, strength: float = 0.1) -> np.ndarray:
     """T = u F u* - F for u = exp(i strength K), K seeded self-adjoint.
 
-    In the graded case K is averaged to commute with the grading, so the
-    perturbed symmetry keeps the same grading relations.
+    With K = V diag(w) V*, it is formed from D = u - 1 =
+    V diag(expm1(i strength w)) V* as T = D F + F D* + D F D*, which has no
+    cancellation: T is exactly 0 at strength 0, and u is unitary at every
+    finite strength.  In the graded case K is averaged to commute with the
+    grading, so the perturbed symmetry keeps the same grading relations.
     """
     rng = np.random.default_rng(seed)
     K = random_hermitian(module.n, rng)
     if module.graded:
         K = (K + module.gamma @ K @ module.gamma) / 2.0
-    u = expm(1j * strength * K)
-    return u @ module.F @ u.conj().T - module.F
+    w, V = np.linalg.eigh(K)
+    D = (V * np.expm1(1j * strength * w)) @ V.conj().T
+    DF, Dh = D @ module.F, D.conj().T
+    return DF + module.F @ Dh + DF @ Dh
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import ASSOC_TOL, Algebra, embed_element, unitalize, as_element
 from .cyclic import ANALYTIC_TOL, DERIVED_TOL, Chain, pair_cochain_chain
@@ -133,6 +132,8 @@ def mult_char_exponentials(module: FredholmModule, exponents, logs,
     returned representative is c(m) times the pairing of the index cocycle
     with the signed permutation chain of the logs.
     """
+    from scipy.linalg import expm      # pair is the one command that needs scipy
+
     m = module.m
     if len(exponents) != m or len(logs) != m:
         raise InputError(f"need exactly m = {m} exponents and logs")

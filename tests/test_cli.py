@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cycfred import chern, cyclic, fredholm
+from cycfred import chern, cyclic, fredholm, models
 from cycfred.cli import main
 from cycfred.pairing import c_constant
 from cycfred.serialize import (
@@ -255,6 +255,10 @@ BAD_MODELS = {
                                   "dense tensor with dim 100000 and degree 2 exceeds"),
     "even-base-dim-negative": (["even", "--base-dim", "-1"], "must be positive"),
     "even-negative-seed": (["even", "--seed", "-1"], "--seed must be non-negative"),
+    # an --m past MAX_M would write a module every other command rejects
+    "reflection-m-over-budget": (["reflection", "--n", "4", "--m", "8"], "--m 8 is outside 0..6"),
+    "even-m-over-budget": (["even", "--n", "4", "--m", "9"], "--m 9 is outside 0..6"),
+    "reflection-m-negative": (["reflection", "--m", "-1"], "--m -1 is outside 0..6"),
 }
 
 
@@ -309,10 +313,6 @@ def _bad_input_cases():
         lambda tmp: ["pair", "--module", _hardy_file(tmp),
                      "--logs", _bad_file(tmp, {"logs": [array_to_json(np.full(8, 1e200))] * 2})],
         "exp(rep(a)) at index 0 overflows", id="pair-exp-overflows")
-    yield pytest.param(
-        lambda tmp: ["make-perturbation", "--module", _reflection_file(tmp),
-                     "--eps", "1e155", "-o", str(tmp / "T.json")],
-        "--eps 1e+155 overflows", id="make-perturbation-eps-overflows")
     # a --tol that would turn a verdict wrong: inf passes every residual,
     # nan and a negative bound fail every one
     for command in ("witness", "verify-invariance", "pair"):
@@ -331,6 +331,28 @@ def test_malformed_input_file_exits_two_with_one_line(argv, phrase, tmp_path, ca
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:") and phrase in err[0], err
+
+
+def test_make_perturbation_at_a_huge_eps_is_a_valid_perturbation(tmp_path):
+    """u = exp(i eps K) is formed from expm1 of the eigenvalues, so even
+    eps = 1e155 gives a finite T with G = F + T involutive."""
+    mod_path, pert_path = _reflection_file(tmp_path), str(tmp_path / "T.json")
+    assert main(["make-perturbation", "--module", mod_path, "--eps", "1e155",
+                 "-o", pert_path]) == 0
+    module = module_from_json(load_json(mod_path))
+    T = array_from_json(load_json(pert_path)["T"])
+    assert np.isfinite(T).all()
+    fredholm.perturb(module, T)
+    assert main(["witness", "--module", mod_path, "--perturbation", pert_path]) == 0
+
+
+def test_make_perturbation_rejects_a_non_finite_T(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(models, "conjugation_perturbation",
+                        lambda module, seed, strength: np.full((module.n,) * 2, np.nan))
+    assert main(["make-perturbation", "--module", _reflection_file(tmp_path),
+                 "-o", str(tmp_path / "T.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and "non-finite" in err[0], err
 
 
 @pytest.mark.parametrize("field,check", [("F", "F_involutive"), ("rep", "rep_homomorphism")])

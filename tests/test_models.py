@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cycfred import models
 from cycfred.algebra import (
     matrix_units_algebra,
     pointwise_algebra,
@@ -110,6 +111,48 @@ def test_conjugation_perturbation_identities():
     T = conjugation_perturbation(mod, seed=19, strength=0.2)
     assert involution_defect(mod.F, T) < 1e-12
     assert np.abs(conjugation_perturbation(mod, seed=19, strength=0.0)).max() == 0.0
+
+
+def _block_diag_rep(algebra, n, rng):
+    """random_exact_rep by scipy's block_diag: the same irrep draws, placed
+    one generator at a time."""
+    from scipy.linalg import block_diag
+
+    irreps, blocks, remaining = models._irreps(algebra), [], n
+    while remaining > 0:
+        options = [r for r in irreps if r.shape[1] <= remaining]
+        blocks.append(options[int(rng.integers(0, len(options)))])
+        remaining -= blocks[-1].shape[1]
+    return np.stack([block_diag(*[b[i] for b in blocks]) for i in range(algebra.dim)])
+
+
+@pytest.mark.parametrize("algebra", [pointwise_algebra(1), pointwise_algebra(3),
+                                     matrix_units_algebra(2), matrix_units_algebra(3), UT],
+                         ids=["pointwise:1", "pointwise:3", "matrix:2", "matrix:3", "ut2"])
+def test_random_exact_rep_equals_the_block_diag_route(algebra):
+    for seed in range(5):
+        for n in (1, 4, 7, 8):
+            rep = random_exact_rep(algebra, n, np.random.default_rng(seed))
+            assert np.array_equal(rep, _block_diag_rep(algebra, n, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_reflection_module(8, UT, seed=30, m=2),
+    lambda: random_reflection_module(8, matrix_units_algebra(2), seed=31, m=2),
+    lambda: toy_even_module(4, seed=32, m=3, algebra=UT)[1],
+    lambda: discrete_hardy(16)[1],
+], ids=["ut2", "matrix:2", "graded-toy", "hardy-16"])
+@pytest.mark.parametrize("eps", [0.1, 0.3, 1.0])
+def test_conjugation_perturbation_equals_the_expm_route(make, eps):
+    from scipy.linalg import expm
+
+    mod = make()
+    K = random_hermitian(mod.n, np.random.default_rng(33))
+    if mod.graded:
+        K = (K + mod.gamma @ K @ mod.gamma) / 2.0
+    u = expm(1j * eps * K)
+    T = conjugation_perturbation(mod, seed=33, strength=eps)
+    assert np.abs(T - (u @ mod.F @ u.conj().T - mod.F)).max() < 1e-13
 
 
 def test_conjugation_perturbation_respects_grading():

@@ -1,11 +1,18 @@
 """The verdict policy: every acceptance bound is a row of the table in
 cycfred.cyclic (or algebra.ASSOC_TOL), and a tolerance keyword exists only
-where a caller sets it to more than one value."""
+where a caller sets it to more than one value.  The import policy: only
+`pair` loads scipy."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycfred
 from cycfred import algebra, chern, cyclic, fredholm, pairing
 
 # (module, qualified name) of every public callable allowed a tol* parameter,
@@ -63,3 +70,38 @@ def test_the_table_holds_the_fixed_bounds():
 def test_the_settable_bounds_default_to_the_table(module, name, row):
     tol = inspect.signature(getattr(module, name)).parameters["tol"]
     assert tol.default == getattr(cyclic, row)
+
+
+# Runs in a fresh interpreter: argv[1] is a scratch directory.  Prints, after
+# the imports and after each command, whether any scipy module is loaded.
+SCIPY_PROBE = """
+import json, sys
+def scipy_loaded():
+    return any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+import cycfred, cycfred.cli
+seen = {"import": scipy_loaded()}
+d = sys.argv[1]
+commands = {
+    "make-model": ["make-model", "reflection", "--n", "6", "--m", "4", "-o", d + "/m.json"],
+    "make-perturbation": ["make-perturbation", "--module", d + "/m.json", "-o", d + "/T.json"],
+    "witness": ["witness", "--module", d + "/m.json", "--perturbation", d + "/T.json"],
+    "verify-invariance": ["verify-invariance", "--module", d + "/m.json",
+                          "--perturbation", d + "/T.json"],
+    "pair": ["pair", "--module", d + "/m.json", "--logs", d + "/logs.json"],
+}
+with open(d + "/logs.json", "w") as fh:
+    json.dump({"logs": [[[0.0, 0.0]] * 3] * 4}, fh)
+for name, argv in commands.items():
+    seen[name] = [cycfred.cli.main(argv), scipy_loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_only_pair_loads_scipy(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cycfred.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", SCIPY_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": False, "make-model": [0, False], "make-perturbation": [0, False],
+                    "witness": [0, False], "verify-invariance": [0, False], "pair": [0, True]}
