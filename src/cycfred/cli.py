@@ -64,25 +64,32 @@ def _algebra_by_name(name: str):
     raise InputError(f"unknown algebra spec '{name}' (use ut2, pointwise:<d>, matrix:<k>)")
 
 
+# The options each make-model kind reads, with their defaults; a kind
+# accepts no other option.
+MODEL_OPTIONS = {
+    "hardy": {"--N": 16},
+    "hardy-graded": {"--N": 16, "--seed": 0},
+    "even": {"--n": 4, "--m": 3, "--seed": 0, "--algebra": "pointwise:2"},
+    "reflection": {"--n": 4, "--m": 2, "--seed": 0, "--algebra": "ut2"},
+}
+
+
 def cmd_make_model(args) -> int:
     flag, size = ("--N", args.N) if args.kind.startswith("hardy") else ("--n", args.n)
     if _positive(size, flag) > MAX_N:
         raise BudgetError(f"{flag} {size} exceeds the budget {MAX_N}")
-    if not 0 <= args.m <= MAX_M:
-        raise BudgetError(f"--m {args.m} is outside 0..{MAX_M} (0 picks the model's default)")
     if args.kind == "hardy":
         _, module = models.discrete_hardy(args.N)
     elif args.kind == "hardy-graded":
         _, module = models.discrete_hardy_graded(args.N, seed=args.seed)
-    elif args.kind == "even":
-        _check_budget(_positive(args.base_dim, "--base-dim"), 2)
-        _, module = models.toy_even_module(args.n, seed=args.seed, m=args.m or 3,
-                                           base_dim=args.base_dim)
-    elif args.kind == "reflection":
-        module = models.random_reflection_module(args.n, _algebra_by_name(args.algebra),
-                                                 seed=args.seed, m=args.m or 2)
     else:
-        raise InputError(f"unknown model kind '{args.kind}'")
+        if not 1 <= args.m <= MAX_M:
+            raise BudgetError(f"--m {args.m} is outside 1..{MAX_M}")
+        algebra = _algebra_by_name(args.algebra)
+        if args.kind == "even":
+            _, module = models.toy_even_module(args.n, seed=args.seed, m=args.m, algebra=algebra)
+        else:
+            module = models.random_reflection_module(args.n, algebra, seed=args.seed, m=args.m)
     dump_json(module_to_json(module), args.output)
     print(f"wrote {args.kind} module (n={module.n}, m={module.m}) to {args.output}")
     return 0
@@ -112,8 +119,9 @@ def cmd_verify(args) -> int:
     report = run_verification_suite(module, T, tol=args.tol, seed=args.seed)
     if "witness" in report:                # a failing module stops the suite before the witness
         psi = report["witness"].pop("witness")
-        if args.dump_witness:
-            report["witness_dump"] = _witness_dump(module, T, psi)
+        if args.dump_witness:        # the report's only copy of psi
+            report["witness_dump"] = {**_witness_dump(module, T),
+                                      "witness_components": _components(psi)}
     if args.report:
         dump_json(report, args.report)
     for key, sub in report.items():
@@ -128,19 +136,19 @@ def _terms(x) -> list:
             for (k, e, w), c in sorted(x.terms.items(), key=str)]
 
 
-def _witness_dump(module, T, psi) -> dict:
-    """The symbolic curvature and connection terms, and the witness psi already built."""
+def _components(psi) -> list:
+    return [] if psi is None else [array_to_json(c) for c in psi.components]
+
+
+def _witness_dump(module, T) -> dict:
+    """The symbolic curvature and connection terms of the perturbation chain."""
     chain = PerturbationChain(module, T)
-    dump = {
+    return {
         "curvature_terms": _terms(curvature(chain)),
         "connection_on_generators": {
             chain.at.labels[i]: _terms(chain.nabla_rho_basis(i)) for i in range(chain.at.dim)
         },
     }
-    dump["witness_components"] = (
-        [] if psi is None else [array_to_json(c) for c in psi.components]
-    )
-    return dump
 
 
 def cmd_witness(args) -> int:
@@ -154,10 +162,10 @@ def cmd_witness(args) -> int:
         "worst_tuple": report["worst_tuple"],
         "reduced": report["reduced"],
         "witness_degrees": report["witness_degrees"],
-        "components": [] if psi is None else [array_to_json(c) for c in psi.components],
+        "components": _components(psi),
     }
     if args.dump_witness:
-        out["witness_dump"] = _witness_dump(module, T, psi)
+        out["witness_dump"] = _witness_dump(module, T)
     if args.report:
         dump_json(out, args.report)
     print(f"witness residual {report['max_residual']:.3e} "
@@ -190,19 +198,25 @@ def cmd_pair(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors raise InputError, so they exit 2 with one line like any bad input.
+    Subparsers are built with the class of their parent."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cycfred")
+    parser = _Parser(prog="cycfred")
     sub = parser.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make-model", help="construct a built-in module and write it to JSON")
-    mk.add_argument("kind", choices=["hardy", "hardy-graded", "even", "reflection"])
-    mk.add_argument("--N", type=int, default=16)
-    mk.add_argument("--n", type=int, default=4)
-    mk.add_argument("--m", type=int, default=0)
-    mk.add_argument("--seed", type=int, default=0)
-    mk.add_argument("--base-dim", type=int, default=2)
-    mk.add_argument("--algebra", default="ut2")
-    mk.add_argument("-o", "--output", required=True)
+    kinds = mk.add_subparsers(dest="kind", required=True)
+    for kind, options in MODEL_OPTIONS.items():
+        p = kinds.add_parser(kind)
+        for flag, default in options.items():
+            p.add_argument(flag, type=type(default), default=default)
+        p.add_argument("-o", "--output", required=True)
     mk.set_defaults(func=cmd_make_model)
 
     mp = sub.add_parser("make-perturbation", help="seeded conjugation perturbation of a module")
@@ -218,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--perturbation")
         p.add_argument("--m", type=int, default=0)
         p.add_argument("--tol", type=float, default=WITNESS_TOL)
-        p.add_argument("--seed", type=int, default=0)
+        if fn is cmd_verify:            # the seed of the identity ladder's random cochains
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report")
         p.add_argument("--budget-n", type=int, default=0)
         p.add_argument("--dump-witness", action="store_true")

@@ -154,13 +154,12 @@ def discrete_hardy_graded(N: int, seed: int = 0):
 # Seeded toy modules
 # ---------------------------------------------------------------------------
 
-def toy_even_module(n: int, seed: int = 0, m: int = 3, base_dim: int = 2,
-                    algebra: Algebra = None):
+def toy_even_module(n: int, seed: int = 0, m: int = 3, algebra: Algebra = None):
     """Graded module on C^(2n): grading diag(1, -1) blockwise, symmetry
     off-diagonal from a seeded unitary, block-diagonal representation with
     independent exact-irrep draws in the two blocks.
 
-    The default coefficient algebra is the commutative base pointwise(base_dim);
+    The default coefficient algebra is the commutative base pointwise(2);
     pass upper_triangular_algebra() for modules whose index cocycles genuinely
     move under perturbation (over commutative algebras the cocycle difference
     collapses entrywise at finite dimension).
@@ -171,7 +170,7 @@ def toy_even_module(n: int, seed: int = 0, m: int = 3, base_dim: int = 2,
         raise InputError("graded toy modules need odd m")
     rng = np.random.default_rng(seed)
     if algebra is None:
-        algebra = pointwise_algebra(base_dim)
+        algebra = pointwise_algebra(2)
     rep = np.zeros((algebra.dim, 2 * n, 2 * n), dtype=complex)
     rep[:, :n, :n] = random_exact_rep(algebra, n, rng)
     rep[:, n:, n:] = random_exact_rep(algebra, n, rng)

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import shlex
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,8 @@ def test_make_model_verify_roundtrip(tmp_path):
     report = load_json(report_path)
     assert report["pass"] is True
     assert report["witness"]["pass"] is True
+    # each fact once: these live in involution_identity, module and perturbed_module
+    assert not {"involution_defect", "schatten_base", "schatten_perturbed"} & set(report["witness"])
 
 
 def test_verify_exit_one_on_corrupted_symmetry(tmp_path):
@@ -156,6 +161,111 @@ def test_make_model_variants(tmp_path):
         assert validate_module(mod)["pass"]
 
 
+# Every option of make-model besides -o, by the kinds that read it: a value
+# other than the default that is valid, and one that is not.
+MODEL_OPTION_VALUES = {
+    "hardy": {"--N": ("8", "65")},
+    "hardy-graded": {"--N": ("6", "0"), "--seed": ("3", "-1")},
+    "even": {"--n": ("3", "1"), "--m": ("5", "4"), "--seed": ("3", "-1"),
+             "--algebra": ("ut2", "pointwise:0")},
+    "reflection": {"--n": ("6", "65"), "--m": ("4", "3"), "--seed": ("3", "-1"),
+                   "--algebra": ("matrix:2", "matrix:x")},
+}
+EVERY_MODEL_OPTION = sorted({o for options in MODEL_OPTION_VALUES.values() for o in options})
+
+
+def _one_input_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("kind,option",
+                         [(k, o) for k in MODEL_OPTION_VALUES for o in EVERY_MODEL_OPTION])
+def test_make_model_reads_every_option_it_accepts(kind, option, tmp_path, capsys):
+    """A kind's own option changes the module or exits 2; any other exits 2."""
+    path = str(tmp_path / "model.json")
+    if option not in MODEL_OPTION_VALUES[kind]:
+        valid = next(v[option][0] for v in MODEL_OPTION_VALUES.values() if option in v)
+        assert main(["make-model", kind, option, valid, "-o", path]) == 2
+        assert "unrecognized arguments" in _one_input_error(capsys)
+        return
+    valid, invalid = MODEL_OPTION_VALUES[kind][option]
+    assert main(["make-model", kind, "-o", path]) == 0
+    default = (tmp_path / "model.json").read_bytes()
+    assert main(["make-model", kind, option, valid, "-o", path]) == 0
+    assert (tmp_path / "model.json").read_bytes() != default
+    assert main(["make-model", kind, option, invalid, "-o", str(tmp_path / "bad.json")]) == 2
+    _one_input_error(capsys)
+    assert not (tmp_path / "bad.json").exists()
+
+
+def test_make_model_even_is_built_over_its_algebra(tmp_path):
+    assert main(["make-model", "even", "--algebra", "ut2", "-o", str(tmp_path / "cli.json")]) == 0
+    _, module = models.toy_even_module(4, algebra=upper_triangular_algebra())
+    dump_json(module_to_json(module), str(tmp_path / "lib.json"))
+    assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+# SHA-256 of the module file of each make-model line in tests/ and README.md,
+# as make-model wrote it before each kind had a parser of its own (there,
+# "even --algebra pointwise:3" was spelled "even --base-dim 3").
+MODEL_DIGESTS = {
+    "hardy": "524eadcb404d44d8afac0f1c32451d6a577be1368efed529a0d5a64a82fc0c70",
+    "hardy --N 8": "392a1042b77c1bb7d50e62a40b25a3998a2643d90a4b0fc7c92954a7251bf752",
+    "hardy --N 16": "524eadcb404d44d8afac0f1c32451d6a577be1368efed529a0d5a64a82fc0c70",
+    "hardy-graded": "8f395f7eb57e41e72d1e04b919e7bf121a292f51b9884734f038639f6d316999",
+    "hardy-graded --N 4": "2a661b729308a9fde80e1d5c947c798c3fed8ba67b79e4f764b237f233f01d9f",
+    "hardy-graded --N 6": "45f9b5da749d3245321c0319bc0e9c9be08d50be5fea42c8cdde29108bd5c780",
+    "even": "ee6c0ee6c327428da412a187969ae34b3f1bcc2f1aba1b20b3736b37ea4cbac8",
+    "even --n 3 --seed 2 --m 3": "8715bc8a32dc6a7238eec9e396f2961d216a303fd8db0165507c03ad5d6cc437",
+    "even --algebra pointwise:3": "b5a730ef826f5026555b36718b963ee59f8f1efdd40f1246a05e5e18462968d3",
+    "reflection": "2ce36aebb6781c9f0d60894ad92f327c7a63e17790beced0f06f5cea3a5b41a5",
+    "reflection --n 4": "2ce36aebb6781c9f0d60894ad92f327c7a63e17790beced0f06f5cea3a5b41a5",
+    "reflection --n 6 --seed 2 --algebra ut2":
+        "3592a52fce8ddf48a7f5a52deff3ab203e9afe8d6ccaebd50f7ef56955ddd66d",
+    "reflection --algebra pointwise:2 --m 6 --n 4":
+        "3abaedd72511db8644107a63bd9d4fe11d816296005e101038cc189c877ef9f4",
+    "reflection --n 6 --m 4": "b3426fabc9001a88c245d60b425323c9aa1127f76c878adfc60e2b2ee9b7ce6c",
+    "reflection --algebra matrix:2 --m 4 --n 8":
+        "e24704e4a95ac3e489d7ff5ee07601753553191c844cea41c55a85627a9141c2",
+}
+
+
+@pytest.mark.parametrize("line", sorted(MODEL_DIGESTS))
+def test_make_model_writes_the_same_bytes(line, tmp_path):
+    path = tmp_path / "model.json"
+    assert main(["make-model", *line.split(), "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MODEL_DIGESTS[line]
+
+
+def test_help_still_prints_the_options_of_a_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["make-model", "even", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--algebra" in out and "--N" not in out
+
+
+def _readme_commands() -> list:
+    """The command lines of the fenced block under README's "## Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands and all(argv[0] == "cycfred" for argv in commands)
+    for argv in commands:
+        if argv[1] == "pair":           # zero logs, one per degree, over the module's algebra
+            module = module_from_json(load_json(argv[argv.index("--module") + 1]))
+            dump_json({"logs": [array_to_json(np.zeros(module.algebra.dim))] * module.m},
+                      argv[argv.index("--logs") + 1])
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
 def _set(key, value):
     return lambda data: data.__setitem__(key, value)
 
@@ -251,14 +361,20 @@ BAD_MODELS = {
     "reflection-n-over-budget": (["reflection", "--n", "100000"],
                                  "--n 100000 exceeds the budget 64"),
     "reflection-n-negative": (["reflection", "--n", "-3"], "must be positive"),
-    "even-base-dim-over-budget": (["even", "--base-dim", "100000"],
-                                  "dense tensor with dim 100000 and degree 2 exceeds"),
-    "even-base-dim-negative": (["even", "--base-dim", "-1"], "must be positive"),
     "even-negative-seed": (["even", "--seed", "-1"], "--seed must be non-negative"),
     # an --m past MAX_M would write a module every other command rejects
-    "reflection-m-over-budget": (["reflection", "--n", "4", "--m", "8"], "--m 8 is outside 0..6"),
-    "even-m-over-budget": (["even", "--n", "4", "--m", "9"], "--m 9 is outside 0..6"),
-    "reflection-m-negative": (["reflection", "--m", "-1"], "--m -1 is outside 0..6"),
+    "reflection-m-over-budget": (["reflection", "--n", "4", "--m", "8"], "--m 8 is outside 1..6"),
+    "even-m-over-budget": (["even", "--n", "4", "--m", "9"], "--m 9 is outside 1..6"),
+    "reflection-m-negative": (["reflection", "--m", "-1"], "--m -1 is outside 1..6"),
+    "even-m-zero": (["even", "--m", "0"], "--m 0 is outside 1..6"),
+    # a kind accepts only the options it reads
+    "hardy-N-not-an-integer": (["hardy", "--N", "two"], "argument --N: invalid int value: 'two'"),
+    "hardy-m": (["hardy", "--N", "8", "--m", "4"], "unrecognized arguments: --m 4"),
+    "hardy-seed": (["hardy", "--N", "8", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    "hardy-n": (["hardy", "--n", "8"], "unrecognized arguments: --n 8"),
+    "hardy-graded-m": (["hardy-graded", "--N", "6", "--m", "1"], "unrecognized arguments: --m 1"),
+    "reflection-N": (["reflection", "--N", "8"], "unrecognized arguments: --N 8"),
+    "even-base-dim": (["even", "--base-dim", "3"], "unrecognized arguments: --base-dim 3"),
 }
 
 
@@ -293,6 +409,11 @@ def _bad_input_cases():
     yield pytest.param(
         lambda tmp: ["verify-invariance", "--module", _reflection_file(tmp), "--seed", "-1"],
         "--seed must be non-negative", id="verify-invariance-negative-seed")
+    yield pytest.param(
+        lambda tmp: ["witness", "--module", _reflection_file(tmp), "--seed", "1"],
+        "unrecognized arguments: --seed 1", id="witness-seed")
+    yield pytest.param(lambda tmp: [], "the following arguments are required: command",
+                       id="empty-command-line")
     for eps in ("nan", "inf"):
         yield pytest.param(
             lambda tmp, e=eps: ["make-perturbation", "--module", _reflection_file(tmp),
@@ -397,12 +518,13 @@ def test_dump_witness_builds_the_witness_once(command, tmp_path, monkeypatch):
                  "--report", report_path, "--dump-witness"]) == 0
     assert counts == {"witness_cochain": 1}
     report = load_json(report_path)
-    dumped = report["witness_dump"]["witness_components"]
-    assert np.asarray(dumped).shape == (1, 4, 2)      # psi_0 over the unitalized ut2
-    if command == "witness":
-        assert dumped == report["components"]
+    if command == "witness":                           # psi once, under components
+        assert "witness_components" not in report["witness_dump"]
+        dumped = report["components"]
     else:
         assert "witness" not in report["witness"]
+        dumped = report["witness_dump"]["witness_components"]
+    assert np.asarray(dumped).shape == (1, 4, 2)      # psi_0 over the unitalized ut2
 
 
 # Valid modules on which a full-tensor self-check, one degree above the largest

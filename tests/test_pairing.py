@@ -113,8 +113,8 @@ def test_chern_pairing_degree_checked():
 
 def test_chern_pairing_additive_under_direct_sum():
     alg = pointwise_algebra(2)
-    _, m1 = toy_even_module(3, seed=4, m=3, base_dim=2)
-    _, m2 = toy_even_module(4, seed=5, m=3, base_dim=2)
+    _, m1 = toy_even_module(3, seed=4, m=3)
+    _, m2 = toy_even_module(4, seed=5, m=3)
     total = direct_sum(m1, m2)
     rng = np.random.default_rng(6)
     x = antisym_cycle(alg, [rng.normal(size=2) for _ in range(3)])
@@ -130,7 +130,7 @@ def test_pairing_invariant_under_perturbation_on_cycles():
     from cycfred.cyclic import Chain, pair_cochain_chain
 
     alg = pointwise_algebra(2)
-    _, mod = toy_even_module(4, seed=7, m=3, base_dim=2)
+    _, mod = toy_even_module(4, seed=7, m=3)
     T = conjugation_perturbation(mod, seed=8, strength=0.3)
     pert = perturb(mod, T)
     rng = np.random.default_rng(9)
