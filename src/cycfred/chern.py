@@ -226,7 +226,7 @@ def chain_mul(x: ChainElement, y: ChainElement) -> ChainElement:
 
 def interval_form_of(x: ChainElement, word) -> IntervalForm:
     """Exact-coefficient form multiplying a given word, for real-coefficient
-    inspection and dumps; raises if a coefficient is not (close to) rational."""
+    inspection; raises if a coefficient is not (close to) rational."""
     form = IntervalForm()
     for (k, e, w), c in x.terms.items():
         if w != word:
@@ -687,7 +687,9 @@ def run_verification_suite(module: FredholmModule, T, tol: float = WITNESS_TOL,
     at a time, so no check holds a tensor larger than the largest one its
     input admitted, and a NaN residual fails.  tol bounds the witness
     identity, every other check its row of the table in cycfred.cyclic.  The
-    witness block holds psi under "witness", as verify_perturbation_invariance does.
+    witness block holds psi under "witness", as verify_perturbation_invariance
+    does; the verify-invariance command leaves it out of its report, and only
+    `witness --report` writes psi.
     """
     rng = np.random.default_rng(seed)
     at = unitalize(module.algebra)

@@ -1,5 +1,5 @@
-"""Batch front end: model construction, verification suites, pairing
-evaluation and witness dumps, all through the JSON formats of serialize.
+"""Batch front end: model construction, verification suites, witnesses and
+pairing evaluation, all through the JSON formats of serialize.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input.
 Reports are written even when verification fails.
@@ -13,14 +13,9 @@ import sys
 
 import numpy as np
 
-from . import dga, models
+from . import models
 from .algebra import matrix_units_algebra, pointwise_algebra, upper_triangular_algebra
-from .chern import (
-    PerturbationChain,
-    curvature,
-    run_verification_suite,
-    verify_perturbation_invariance,
-)
+from .chern import run_verification_suite, verify_perturbation_invariance
 from .cyclic import DERIVED_TOL, MAX_M, MAX_N, WITNESS_TOL, _check_budget
 from .errors import BudgetError, InputError
 from .fredholm import perturb
@@ -114,14 +109,11 @@ def _load_perturbation(args, module):
 
 
 def cmd_verify(args) -> int:
-    module = load_module(args.module, args.m, args.budget_n)
+    module = load_module(args.module, args.m)
     T = _load_perturbation(args, module)
     report = run_verification_suite(module, T, tol=args.tol, seed=args.seed)
-    if "witness" in report:                # a failing module stops the suite before the witness
-        psi = report["witness"].pop("witness")
-        if args.dump_witness:        # the report's only copy of psi
-            report["witness_dump"] = {**_witness_dump(module, T),
-                                      "witness_components": _components(psi)}
+    if "witness" in report:       # a failing module stops the suite before the witness
+        del report["witness"]["witness"]       # psi is written by `witness --report`
     if args.report:
         dump_json(report, args.report)
     for key, sub in report.items():
@@ -131,28 +123,8 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _terms(x) -> list:
-    return [f"t^{k}{' dt' if e else ''} (x) {dga.word_str(w, c)}"
-            for (k, e, w), c in sorted(x.terms.items(), key=str)]
-
-
-def _components(psi) -> list:
-    return [] if psi is None else [array_to_json(c) for c in psi.components]
-
-
-def _witness_dump(module, T) -> dict:
-    """The symbolic curvature and connection terms of the perturbation chain."""
-    chain = PerturbationChain(module, T)
-    return {
-        "curvature_terms": _terms(curvature(chain)),
-        "connection_on_generators": {
-            chain.at.labels[i]: _terms(chain.nabla_rho_basis(i)) for i in range(chain.at.dim)
-        },
-    }
-
-
 def cmd_witness(args) -> int:
-    module = load_module(args.module, args.m, args.budget_n)
+    module = load_module(args.module, args.m)
     T = _load_perturbation(args, module)
     report = verify_perturbation_invariance(module, T, tol=args.tol)
     psi = report.pop("witness", None)
@@ -162,10 +134,8 @@ def cmd_witness(args) -> int:
         "worst_tuple": report["worst_tuple"],
         "reduced": report["reduced"],
         "witness_degrees": report["witness_degrees"],
-        "components": _components(psi),
+        "components": [] if psi is None else [array_to_json(c) for c in psi.components],
     }
-    if args.dump_witness:
-        out["witness_dump"] = _witness_dump(module, T)
     if args.report:
         dump_json(out, args.report)
     print(f"witness residual {report['max_residual']:.3e} "
@@ -174,7 +144,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    module = load_module(args.module, args.m, args.budget_n)
+    module = load_module(args.module, args.m)
     exponents, logs = logs_from_json(load_json(args.logs))
     value = mult_char_exponentials(module, exponents, logs, tol=args.tol)
     reduced = lattice_reduce(value.representative, module.m)
@@ -230,23 +200,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--module", required=True)
         p.add_argument("--perturbation")
-        p.add_argument("--m", type=int, default=0)
+        p.add_argument("--m", type=int)
         p.add_argument("--tol", type=float, default=WITNESS_TOL)
         if fn is cmd_verify:            # the seed of the identity ladder's random cochains
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report")
-        p.add_argument("--budget-n", type=int, default=0)
-        p.add_argument("--dump-witness", action="store_true")
         p.set_defaults(func=fn)
 
     pp = sub.add_parser("pair")
     pp.add_argument("--module", required=True)
     pp.add_argument("--logs", required=True)
     pp.add_argument("--perturbation")
-    pp.add_argument("--m", type=int, default=0)
+    pp.add_argument("--m", type=int)
     pp.add_argument("--tol", type=float, default=DERIVED_TOL)
     pp.add_argument("--report")
-    pp.add_argument("--budget-n", type=int, default=0)
     pp.set_defaults(func=cmd_pair)
 
     return parser
@@ -261,7 +228,7 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:     # a NaN fails this too
             raise InputError(f"--tol must be a finite non-negative number, got {args.tol}")
         return args.func(args)
-    except (InputError, BudgetError, OSError, KeyError) as exc:
+    except (InputError, BudgetError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,7 +47,7 @@ from .errors import BudgetError, InputError
 MAX_DEGREE = 6                   # cochain degree
 MAX_TENSOR_ENTRIES = 20_000_000  # entries of one dense cochain tensor
 MAX_IDENTITY_ENTRIES = 500_000   # dim^(degree + 3) of the sampled b/B identity checks
-MAX_N = 64                       # Hilbert dimension of a command-line run (--budget-n overrides)
+MAX_N = 64                       # Hilbert dimension of a command-line run
 MAX_M = 6                        # summability degree of a command-line run
 # The verdict policy: the fixed acceptance bound of every check (algebra.ASSOC_TOL
 # is in algebra, which this module imports).  Only WITNESS_TOL and DERIVED_TOL

@@ -44,6 +44,16 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+_MODULE, _ALGEBRA = "the module file", "the module file's algebra"
+
+
+def _field(data: dict, key: str, where: str, kind: type | None = None):
+    """data[key] of a parsed file, and of type kind when one is given."""
+    if key not in data:
+        raise InputError(f"{where} has no '{key}' field")
+    return data[key] if kind is None else _typed(data[key], kind, f"'{key}'")
+
+
 def _arrays(data, what: str) -> list:
     return [array_from_json(a) for a in _typed(data, list, what)]
 
@@ -74,11 +84,11 @@ def algebra_from_json(data: dict) -> Algebra:
     if grading is not None:
         grading = tuple(_typed(g, int, "a grading degree")
                         for g in _typed(grading, list, "'grading'"))
-    labels = tuple(_typed(x, str, "a label") for x in _typed(data["labels"], list, "'labels'"))
+    labels = tuple(_typed(x, str, "a label") for x in _field(data, "labels", _ALGEBRA, list))
     return Algebra(
-        dim=_typed(data["dim"], int, "'dim'"),
+        dim=_field(data, "dim", _ALGEBRA, int),
         labels=labels,
-        structure=array_from_json(data["structure"]),
+        structure=array_from_json(_field(data, "structure", _ALGEBRA)),
         unit=None if data.get("unit") is None else array_from_json(data["unit"]),
         grading=grading,
     )
@@ -99,8 +109,9 @@ def _module_header(data) -> tuple:
     """The integers n, m and the algebra's dim of a module file, read before
     any matrix or structure tensor."""
     _typed(data, dict, "a module file")
-    dim = _typed(_typed(data["algebra"], dict, "an algebra")["dim"], int, "'dim'")
-    return _typed(data["n"], int, "'n'"), _typed(data["m"], int, "'m'"), dim
+    algebra = _typed(_field(data, "algebra", _MODULE), dict, "an algebra")
+    dim = _field(algebra, "dim", _ALGEBRA, int)
+    return _field(data, "n", _MODULE, int), _field(data, "m", _MODULE, int), dim
 
 
 def module_from_json(data: dict) -> FredholmModule:
@@ -111,8 +122,8 @@ def module_from_json(data: dict) -> FredholmModule:
     """
     n, m, _ = _module_header(data)
     algebra = algebra_from_json(data["algebra"])
-    F = _square(data["F"], n, "F")
-    mats = _typed(data["rep"], list, "'rep'")
+    F = _square(_field(data, "F", _MODULE), n, "F")
+    mats = _field(data, "rep", _MODULE, list)
     if len(mats) != algebra.dim:
         raise InputError(f"'rep' lists {len(mats)} matrices for an algebra of dim {algebra.dim}")
     rep = np.array([_square(a, n, f"rep[{i}]") for i, a in enumerate(mats)], dtype=complex)
@@ -120,22 +131,21 @@ def module_from_json(data: dict) -> FredholmModule:
     return FredholmModule(algebra, rep.reshape(algebra.dim, n, n), F, m, gamma)
 
 
-def load_module(path: str, m: int = 0, budget_n: int = 0) -> FredholmModule:
+def load_module(path: str, m: int | None = None) -> FredholmModule:
     """The module file of a command-line run.
 
     The algebra's dim is checked against the dense-tensor budget, n against
-    budget_n (MAX_N when 0) and m against MAX_M, and m against the expected m
-    when one is given, before any matrix is parsed.
+    MAX_N and m against MAX_M, and m against the expected m when one is
+    given, before any matrix is parsed.
     """
     data = load_json(path)
     n, file_m, dim = _module_header(data)
     _check_budget(dim, 2)   # the structure tensor, dim^3 entries
-    cap = budget_n or MAX_N
-    if n > cap:
-        raise BudgetError(f"Hilbert dimension {n} exceeds the budget {cap}")
+    if n > MAX_N:
+        raise BudgetError(f"Hilbert dimension {n} exceeds the budget {MAX_N}")
     if file_m > MAX_M:
         raise BudgetError(f"summability degree {file_m} exceeds the budget {MAX_M}")
-    if m and m != file_m:
+    if m is not None and m != file_m:
         raise InputError(f"--m {m} disagrees with the module file (m={file_m})")
     return module_from_json(data)
 
@@ -146,7 +156,8 @@ def perturbation_to_json(T: np.ndarray) -> dict:
 
 def perturbation_from_json(data: dict, n: int) -> np.ndarray:
     """The T of a perturbation file {"T": (n, n) matrix}."""
-    return _square(_typed(data, dict, "a perturbation file")["T"], n, "T")
+    return _square(_field(_typed(data, dict, "a perturbation file"), "T", "the perturbation file"),
+                   n, "T")
 
 
 def logs_from_json(data: dict) -> tuple:
@@ -154,7 +165,7 @@ def logs_from_json(data: dict) -> tuple:
 
     The exponents default to the logs.
     """
-    logs = _arrays(_typed(data, dict, "a logs file")["logs"], "'logs'")
+    logs = _arrays(_field(_typed(data, dict, "a logs file"), "logs", "the logs file"), "'logs'")
     if "exponents" not in data:
         return logs, logs
     return _arrays(data["exponents"], "'exponents'"), logs

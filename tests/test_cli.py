@@ -77,16 +77,27 @@ def test_missing_file_gives_exit_two(tmp_path):
     assert main(["verify-invariance", "--module", str(tmp_path)]) == 2
 
 
-def test_budget_exit_two(tmp_path):
-    mod_path = str(tmp_path / "too_big.json")
-    mod = random_reflection_module(66, upper_triangular_algebra(), seed=9, m=2)
-    dump_json(module_to_json(mod), mod_path)
-    assert main(["verify-invariance", "--module", mod_path]) == 2
-    # a custom cap can be stricter than the default
-    small = str(tmp_path / "small.json")
-    dump_json(module_to_json(random_reflection_module(8, upper_triangular_algebra(),
-                                                      seed=10, m=2)), small)
-    assert main(["verify-invariance", "--module", small, "--budget-n", "4"]) == 2
+def test_budget_exit_two(tmp_path, capsys):
+    """MAX_N is the one Hilbert-dimension cap of every command that reads a module."""
+    mod_path = _reflection_file(tmp_path, size=65)
+    for command in ("verify-invariance", "witness", "pair"):
+        assert main(_command_line(tmp_path, command, mod_path)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["input error: Hilbert dimension 65 exceeds the budget 64"], err
+
+
+@pytest.mark.parametrize("command", ["witness", "verify-invariance", "pair"])
+def test_m_is_checked_only_when_given(command, tmp_path, capsys):
+    """No --m: no check.  Any --m other than the file's m (2), 0 and -1
+    included, exits 2 with one line."""
+    argv = _command_line(tmp_path, command, _hardy_file(tmp_path))
+    assert main(argv) == 0
+    assert main([*argv, "--m", "2"]) == 0
+    capsys.readouterr()
+    for m in ("0", "-1", "3"):
+        assert main([*argv, "--m", m]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"input error: --m {m} disagrees with the module file (m=2)"], err
 
 
 def test_pair_command(tmp_path, capsys):
@@ -115,7 +126,7 @@ def test_pair_m_mismatch(tmp_path):
     assert main(["witness", "--module", mod_path, "--m", "3"]) == 2
 
 
-def test_witness_command_with_dump(tmp_path):
+def test_witness_command(tmp_path):
     mod_path = str(tmp_path / "refl.json")
     pert_path = str(tmp_path / "T.json")
     report_path = str(tmp_path / "witness.json")
@@ -124,13 +135,14 @@ def test_witness_command_with_dump(tmp_path):
     main(["make-perturbation", "--module", mod_path, "--eps", "0.15",
           "--seed", "5", "-o", pert_path])
     code = main(["witness", "--module", mod_path, "--perturbation", pert_path,
-                 "--report", report_path, "--dump-witness"])
+                 "--report", report_path])
     assert code == 0
     report = load_json(report_path)
+    assert set(report) == {"pass", "max_residual", "worst_tuple", "reduced",
+                           "witness_degrees", "components"}
     assert report["pass"] and report["reduced"]
     assert report["witness_degrees"] == [0]
     assert len(report["components"]) == 1
-    assert any("tau" in line for line in report["witness_dump"]["curvature_terms"])
 
 
 def test_witness_command_empty_at_m1(tmp_path):
@@ -294,6 +306,38 @@ def test_malformed_module_file_exits_two_with_one_line(defect, tmp_path, capsys)
     assert len(err) == 1 and err[0].startswith("input error:"), err
 
 
+def _witness_without(field):
+    """witness on the valid n = 6 module file with field removed from the
+    file or, for a field of the algebra, from its algebra."""
+    def argv(tmp_path):
+        data = _reflection_data()
+        del (data["algebra"] if field in data["algebra"] else data)[field]
+        return ["witness", "--module", _bad_file(tmp_path, data)]
+    return argv
+
+
+# command line from tmp_path, and the error line, per missing field
+MISSING_FIELDS = {
+    "n": (_witness_without("n"), "the module file has no 'n' field"),
+    "F": (_witness_without("F"), "the module file has no 'F' field"),
+    "rep": (_witness_without("rep"), "the module file has no 'rep' field"),
+    "labels": (_witness_without("labels"), "the module file's algebra has no 'labels' field"),
+    "T": (lambda tmp: ["witness", "--module", _reflection_file(tmp),
+                       "--perturbation", _bad_file(tmp, {})],
+          "the perturbation file has no 'T' field"),
+    "logs": (lambda tmp: ["pair", "--module", _reflection_file(tmp),
+                          "--logs", _bad_file(tmp, {"exponents": []})],
+             "the logs file has no 'logs' field"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MISSING_FIELDS))
+def test_a_missing_field_is_named_with_its_file(field, tmp_path, capsys):
+    argv, line = MISSING_FIELDS[field]
+    assert main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"input error: {line}"]
+
+
 def _reflection_data(size=6):
     return module_to_json(random_reflection_module(size, upper_triangular_algebra(), seed=1, m=2))
 
@@ -320,6 +364,16 @@ def _hardy_file(tmp_path):
     path = str(tmp_path / "hardy.json")
     dump_json(module_to_json(discrete_hardy(8)[1]), path)
     return path
+
+
+def _command_line(tmp_path, command, mod_path):
+    """A command line of witness, verify-invariance or pair on a module file;
+    pair reads zero logs, one per degree, over the module's algebra."""
+    if command != "pair":
+        return [command, "--module", mod_path]
+    data, logs = load_json(mod_path), str(tmp_path / "logs.json")
+    dump_json({"logs": [array_to_json(np.zeros(data["algebra"]["dim"]))] * data["m"]}, logs)
+    return ["pair", "--module", mod_path, "--logs", logs]
 
 
 def _bad_file(tmp_path, content):
@@ -414,6 +468,13 @@ def _bad_input_cases():
         "unrecognized arguments: --seed 1", id="witness-seed")
     yield pytest.param(lambda tmp: [], "the following arguments are required: command",
                        id="empty-command-line")
+    # MAX_N is the one Hilbert-dimension cap, and `witness --report` alone writes psi
+    for command, flag in (("witness", "--budget-n 4"), ("verify-invariance", "--budget-n 4"),
+                          ("pair", "--budget-n 4"), ("witness", "--dump-witness"),
+                          ("verify-invariance", "--dump-witness")):
+        yield pytest.param(
+            lambda tmp, c=command, f=flag: [*_command_line(tmp, c, _hardy_file(tmp)), *f.split()],
+            f"unrecognized arguments: {flag}", id=f"{command}{flag.split()[0]}")
     for eps in ("nan", "inf"):
         yield pytest.param(
             lambda tmp, e=eps: ["make-perturbation", "--module", _reflection_file(tmp),
@@ -440,9 +501,7 @@ def _bad_input_cases():
         for tol in ("inf", "nan", "-1"):
             yield pytest.param(
                 lambda tmp, c=command, t=tol: [
-                    c, "--module", _hardy_file(tmp), "--tol", t,
-                    *(["--logs", _bad_file(tmp, {"logs": [array_to_json(np.zeros(8))] * 2})]
-                      if c == "pair" else [])],
+                    *_command_line(tmp, c, _hardy_file(tmp)), "--tol", t],
                 f"--tol must be a finite non-negative number, got {float(tol)}",
                 id=f"{command}-tol-{tol}")
 
@@ -493,19 +552,19 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-def test_verify_dump_witness_skips_a_failing_module(tmp_path, capsys):
+def test_verify_report_of_a_failing_module_has_no_witness(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     code = main(["verify-invariance", "--module", _reflection_file(tmp_path, **_scaled("F", 1e200)),
-                 "--report", report_path, "--dump-witness"])
+                 "--report", report_path])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == "", captured.err
     assert "module: FAIL" in captured.out.splitlines()
     report = load_json(report_path)
-    assert "witness" not in report and "witness_dump" not in report
+    assert "witness" not in report
 
 
 @pytest.mark.parametrize("command", ["verify-invariance", "witness"])
-def test_dump_witness_builds_the_witness_once(command, tmp_path, monkeypatch):
+def test_each_command_builds_the_witness_once(command, tmp_path, monkeypatch):
     mod_path = str(tmp_path / "refl.json")
     pert_path = str(tmp_path / "T.json")
     report_path = str(tmp_path / "report.json")
@@ -515,16 +574,13 @@ def test_dump_witness_builds_the_witness_once(command, tmp_path, monkeypatch):
           "-o", pert_path])
     counts = _count_calls(monkeypatch, "witness_cochain", source=chern)
     assert main([command, "--module", mod_path, "--perturbation", pert_path,
-                 "--report", report_path, "--dump-witness"]) == 0
+                 "--report", report_path]) == 0
     assert counts == {"witness_cochain": 1}
     report = load_json(report_path)
-    if command == "witness":                           # psi once, under components
-        assert "witness_components" not in report["witness_dump"]
-        dumped = report["components"]
-    else:
+    if command == "witness":                           # psi is written here, as components
+        assert np.asarray(report["components"]).shape == (1, 4, 2)   # psi_0 over unitalized ut2
+    else:                                              # and nowhere else
         assert "witness" not in report["witness"]
-        dumped = report["witness_dump"]["witness_components"]
-    assert np.asarray(dumped).shape == (1, 4, 2)      # psi_0 over the unitalized ut2
 
 
 # Valid modules on which a full-tensor self-check, one degree above the largest

@@ -1,8 +1,12 @@
 """The verdict policy: every acceptance bound is a row of the table in
 cycfred.cyclic (or algebra.ASSOC_TOL), and a tolerance keyword exists only
 where a caller sets it to more than one value.  The import policy: only
-`pair` loads scipy."""
+`pair` loads scipy, the command line names nothing of the symbolic oracle,
+and importing the command line still loads every function the benchmark's
+tracer wraps."""
 
+import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -105,3 +109,55 @@ def test_only_pair_loads_scipy(tmp_path):
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"import": False, "make-model": [0, False], "make-perturbation": [0, False],
                     "witness": [0, False], "verify-invariance": [0, False], "pair": [0, True]}
+
+
+# The symbolic route of cycfred.chern: the test oracle, which no command reaches
+SYMBOLIC_CHERN = {
+    "IntervalForm", "ChainElement", "chain_element", "chain_unit", "from_dga", "chain_mul",
+    "interval_form_of", "PerturbationChain", "connection_apply", "curvature",
+    "curvature_power", "graded_trace", "boundary_restrict", "boundary_connection",
+    "chern_component", "chern_component_tensor", "chern_character", "boundary_cycle_chern",
+    "verify_cobordism_identity",
+}
+SRC = Path(cycfred.__file__).resolve().parents[1]
+SPANS = SRC.parent / "perfbench" / "spans.py"
+
+TRACER_PROBE = """
+import json, sys
+import cycfred, cycfred.cli
+missing = [f"{m}.{f}" for m, f in json.loads(sys.argv[1])
+           if not callable(getattr(sys.modules.get(f"cycfred.{m}"), f, None))]
+if not isinstance(getattr(sys.modules["cycfred.chern"], "PerturbationChain", None), type):
+    missing.append("chern.PerturbationChain")
+print(json.dumps(missing))
+"""
+
+
+def test_the_command_line_loads_every_traced_function():
+    """perfbench/spans.py wraps its TRACED functions by name in sys.modules
+    once perfbench/run.py has imported cycfred and cycfred.cli; a name that no
+    longer resolves there would break --trace 1."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", TRACER_PROBE, json.dumps(spans.TRACED)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_cli_names_nothing_of_the_symbolic_oracle():
+    tree = ast.parse((SRC / "cycfred" / "cli.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+    assert not names & ({"dga"} | SYMBOLIC_CHERN)

@@ -25,7 +25,7 @@ from cycfred.serialize import (
 from cycfred import serialize
 
 # the exceptions cli.main turns into exit code 2
-REJECTED = (InputError, BudgetError, KeyError)
+REJECTED = (InputError, BudgetError)
 
 MODULE_KEYS = ("algebra", "n", "m", "rep", "F", "gamma")
 ALGEBRA_KEYS = ("dim", "labels", "structure", "unit", "grading")
