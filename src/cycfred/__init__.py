@@ -45,17 +45,14 @@ from .fredholm import (
     validate_module,
 )
 from .chern import (
-    IntervalForm,
     PerturbationChain,
     boundary_cycle_chern,
     chern_character,
-    chern_component,
     chern_component_tensor,
     connection_apply,
     curvature_power,
     graded_trace,
     operator_boundary_character,
-    operator_component_tensor,
     run_verification_suite,
     verify_cobordism_identity,
     verify_perturbation_invariance,

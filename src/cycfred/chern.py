@@ -22,10 +22,10 @@ boundary_cycle_chern) multiplies chain elements word by word, carrying
 polynomial-in-t coefficients exactly; floating point enters only through
 matrix traces.  It is the independent oracle of the test suite.
 
-The operator route (operator_component_tensor, operator_boundary_character,
-and through them witness_cochain and the verifiers) evaluates the same
-numbers in the representation.  Since FT + TF + T^2 = 0, pi(d tau) = FT + TF,
-so pi o d is the graded commutator with F, and for a word w of degree m - 1
+The operator route (witness_cochain, operator_boundary_character, and
+through them the verifiers) evaluates the same numbers in the
+representation.  Since FT + TF + T^2 = 0, pi(d tau) = FT + TF, so pi o d
+is the graded commutator with F, and for a word w of degree m - 1
 
     1/2 Tr(gamma^m F pi(dw)) = Tr(gamma^m pi(w))
 
@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dga
-from .algebra import Algebra, unitalize, unit_basis_index, as_element
+from .algebra import Algebra, unitalize, unit_basis_index
 from .cyclic import (
     DERIVED_TOL,
     IDENTITY_SAMPLES,
@@ -90,68 +90,6 @@ from .fredholm import (
 )
 
 
-@dataclass(frozen=True)
-class IntervalForm:
-    """p(t) + q(t) dt with exact rational coefficients (low degree first)."""
-
-    p: tuple = ()
-    q: tuple = ()
-
-    @staticmethod
-    def monomial(k: int, dt: bool, coeff=Fraction(1)) -> "IntervalForm":
-        coeffs = (Fraction(0),) * k + (Fraction(coeff),)
-        return IntervalForm(q=coeffs) if dt else IntervalForm(p=coeffs)
-
-    def __add__(self, other):
-        return IntervalForm(_poly_add(self.p, other.p), _poly_add(self.q, other.q))
-
-    def __mul__(self, other):
-        # dt . dt = 0 and dt commutes with functions on the interval
-        return IntervalForm(
-            _poly_mul(self.p, other.p),
-            _poly_add(_poly_mul(self.p, other.q), _poly_mul(self.q, other.p)),
-        )
-
-    def d(self) -> "IntervalForm":
-        return IntervalForm((), _poly_diff(self.p))
-
-    def integrate(self) -> Fraction:
-        """int_0^1 of the one-form part."""
-        return sum((c / (i + 1) for i, c in enumerate(self.q)), Fraction(0))
-
-    def at(self, t: int) -> Fraction:
-        """Restriction of the zero-form part to an endpoint."""
-        return sum((c * t ** i for i, c in enumerate(self.p)), Fraction(0))
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_diff(a):
-    return tuple(i * c for i, c in enumerate(a) if i >= 1)
-
-
 # ---------------------------------------------------------------------------
 # Chain elements: complex combinations of t^k (dt)^e (x) word
 # ---------------------------------------------------------------------------
@@ -168,9 +106,6 @@ class ChainElement:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
-
-    def max_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -224,20 +159,6 @@ def chain_mul(x: ChainElement, y: ChainElement) -> ChainElement:
     return chain_element(x.algebra, raw)
 
 
-def interval_form_of(x: ChainElement, word) -> IntervalForm:
-    """Exact-coefficient form multiplying a given word, for real-coefficient
-    inspection; raises if a coefficient is not (close to) rational."""
-    form = IntervalForm()
-    for (k, e, w), c in x.terms.items():
-        if w != word:
-            continue
-        if abs(c.imag if isinstance(c, complex) else 0.0) > 1e-12:
-            raise InputError("term has a non-real coefficient; inspect terms directly")
-        frac = Fraction(float(np.real(c))).limit_denominator(10 ** 9)
-        form = form + IntervalForm.monomial(k, bool(e), frac)
-    return form
-
-
 # ---------------------------------------------------------------------------
 # The perturbation chain
 # ---------------------------------------------------------------------------
@@ -261,15 +182,12 @@ class PerturbationChain:
 
     # -- generators ---------------------------------------------------------
 
-    def rho(self, x) -> ChainElement:
-        """1 (x) x for a coefficient vector over the unitalization."""
-        return from_dga(dga.from_vector(self.at, as_element(self.at, x)))
-
     def rho_basis(self, i: int) -> ChainElement:
+        """1 (x) e_i for a basis vector of the unitalization."""
         if i not in self._rho:
             e = np.zeros(self.at.dim)
             e[i] = 1.0
-            self._rho[i] = self.rho(e)
+            self._rho[i] = from_dga(dga.from_vector(self.at, e))
         return self._rho[i]
 
     def nabla_rho_basis(self, i: int) -> ChainElement:
@@ -413,30 +331,6 @@ def _compositions(total: int, slots: int):
             yield (head,) + rest
 
 
-def chern_component(chain: PerturbationChain, k: int, args) -> complex:
-    """One value of the degree-(m - 2k) character component.
-
-    The k = 0 (top) component is exposed for the vanishing check: every
-    integrand term is a zero-form, so the graded trace returns exactly zero.
-    """
-    m = chain.m
-    if k < 0 or 2 * k > m:
-        raise InputError(f"component index k={k} outside 0..floor(m/2) for m={m}")
-    q = m - 2 * k
-    if len(args) != q + 1:
-        raise InputError(f"component of degree {q} takes {q + 1} arguments, got {len(args)}")
-    rho0 = chain.rho(args[0])
-    nablas = [connection_apply(chain, chain.rho(a)) for a in args[1:]]
-    total = 0.0 + 0.0j
-    for comp in _compositions(k, q + 1):
-        acc = chain_mul(rho0, curvature_power(chain, comp[0]))
-        for j, nab in enumerate(nablas):
-            acc = chain_mul(acc, nab)
-            acc = chain_mul(acc, curvature_power(chain, comp[j + 1]))
-        total += _trace_noncheck(chain, acc)
-    return complex((-1.0) ** k / math.factorial(m - k) * total)
-
-
 def chern_component_tensor(chain: PerturbationChain, k: int) -> Cochain:
     """Dense tensor of the degree-(m - 2k) component over the unitalization."""
     m = chain.m
@@ -547,25 +441,6 @@ def _component_values(module: FredholmModule, T: np.ndarray, k: int) -> np.ndarr
             front = w[:, None, None, None] * front_pow[e[0]][None]
             values += (-1) ** j * comp[j] * trace_stack(front, [C_pow[p] for p in e[1:]])
     return (-1.0) ** k / math.factorial(m - k) * values
-
-
-def operator_component_tensor(module: FredholmModule, T, k: int) -> Cochain:
-    """The degree-(m - 2k) character component, computed through pi.
-
-    Same values as chern_component_tensor on PerturbationChain(module, T);
-    the top component (k = 0) is exactly zero.
-    """
-    m = module.m
-    if k < 0 or 2 * k > m:
-        raise InputError(f"component index k={k} outside 0..floor(m/2) for m={m}")
-    q = m - 2 * k
-    _check_budget(module.algebra.dim + 1, q)
-    T = np.asarray(T, dtype=complex)
-    perturb(module, T)                     # validates G = F + T
-    at = unitalize(module.algebra)
-    if k == 0:
-        return Cochain(at, np.zeros((at.dim,) * (q + 1), dtype=complex))
-    return Cochain(at, _component_values(module, T, k))
 
 
 def operator_boundary_character(module: FredholmModule) -> Cochain:
@@ -736,8 +611,7 @@ def run_verification_suite(module: FredholmModule, T, tol: float = WITNESS_TOL,
     report["boundary_character"] = {"max_residual": lemma_resid, "pass": lemma_resid <= DERIVED_TOL}
 
     # no curvature slot supplies dt at k = 0, so the top component is zero by
-    # construction (operator_component_tensor(module, T, 0) and the symbolic
-    # chern_component_tensor(chain, 0) are checked against that in the tests)
+    # construction (criterion 06 checks chern_component_tensor(chain, 0))
     report["top_component"] = {"max_abs": 0.0, "pass": True}
 
     report["witness"] = _invariance_report(module, T, tau_f, tau_g, tol)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import Algebra, as_element, same_algebra, unit_basis_index
 from .errors import InputError
-from .fredholm import FredholmModule, schatten_norm
+from .fredholm import FredholmModule
 
 CHOP = 1e-14
 
@@ -51,22 +51,6 @@ def letter_degree(letter) -> int:
 
 def word_degree(word) -> int:
     return sum(letter_degree(l) for l in word)
-
-
-def word_str(word, coeff=None) -> str:
-    """Debug format, e.g. '(1+0j) a3 . d(a1) . tau . tau'."""
-    parts = []
-    for l in word:
-        if l[0] == A:
-            parts.append(f"a{l[1]}")
-        elif l[0] == T:
-            parts.append("tau")
-        elif l[0] == DA:
-            parts.append(f"d(a{l[1]})")
-        else:
-            parts.append("d(tau)")
-    body = " . ".join(parts) if parts else "1"
-    return body if coeff is None else f"({coeff}) {body}"
 
 
 def _normalize(algebra: Algebra, terms: dict, unit_idx: int) -> dict:
@@ -130,9 +114,6 @@ class DGAElement:
     def degrees(self):
         return sorted({word_degree(w) for w in self.terms})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     @property
     def degree(self) -> int:
         degs = self.degrees()
@@ -161,11 +142,6 @@ class DGAElement:
 
     def __mul__(self, other):
         return word_multiply(self, other)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(word_str(w, c) for w, c in sorted(self.terms.items()))
 
 
 def _require_same(x: DGAElement, y: DGAElement):
@@ -272,15 +248,6 @@ def pi_represent(module: FredholmModule, T_op: np.ndarray, x: DGAElement) -> np.
             mat = mat @ img
         out += coeff * mat
     return out
-
-
-def trace_norm_report(module: FredholmModule, T_op: np.ndarray, x: DGAElement) -> dict:
-    """Trace norms of pi(word) per word; the finite-dimensional shadow of the
-    trace-class statement for words of total degree m."""
-    return {
-        word_str(w): schatten_norm(pi_represent(module, T_op, DGAElement(x.algebra, {w: 1.0})), 1)
-        for w in x.terms
-    }
 
 
 def induced_hom(images_alg, image_tau: DGAElement, x: DGAElement) -> DGAElement:

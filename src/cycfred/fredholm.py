@@ -99,14 +99,6 @@ def rep_tilde_basis(module: FredholmModule) -> np.ndarray:
     return np.concatenate([module.rep, np.eye(module.n, dtype=complex)[None]])
 
 
-def rep_tilde(module: FredholmModule, x) -> np.ndarray:
-    """Representation of an element of the unitalization A~."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (module.algebra.dim + 1,):
-        raise InputError("rep_tilde expects a coefficient vector over the unitalization")
-    return np.tensordot(x, rep_tilde_basis(module), axes=(0, 0))
-
-
 def commutators_tilde(module: FredholmModule) -> np.ndarray:
     """[F, rep~(e_i)] over the basis of A~ (zero in the adjoined-unit slot)."""
     A = rep_tilde_basis(module)

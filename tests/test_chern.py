@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from cycfred import dga
 from cycfred.algebra import pointwise_algebra, upper_triangular_algebra
 from cycfred.chern import (
-    IntervalForm,
     PerturbationChain,
     boundary_connection,
     boundary_cycle_chern,
@@ -17,7 +15,6 @@ from cycfred.chern import (
     chain_mul,
     chain_unit,
     chern_character,
-    chern_component,
     chern_component_tensor,
     connection_apply,
     curvature,
@@ -54,31 +51,6 @@ def chain3():
     _, mod = toy_even_module(4, seed=32, m=3)
     T = conjugation_perturbation(mod, seed=33, strength=0.2)
     return PerturbationChain(mod, T)
-
-
-# -- interval forms ---------------------------------------------------------
-
-def test_interval_form_one_forms_square_to_zero():
-    a = IntervalForm.monomial(2, True)
-    b = IntervalForm.monomial(0, True, Fraction(3))
-    assert (a * b).p == () and (a * b).q == ()
-
-
-def test_interval_form_differential_and_integral():
-    f = IntervalForm.monomial(3, False)          # t^3
-    assert f.d().q == (Fraction(0), Fraction(0), Fraction(3))
-    assert f.d().integrate() == Fraction(1)      # int_0^1 3 t^2 dt, exactly
-    g = IntervalForm.monomial(4, True, Fraction(7))
-    assert g.integrate() == Fraction(7, 5)
-    assert f.at(1) == 1 and f.at(0) == 0
-
-
-def test_interval_form_product_mixes_degrees():
-    f = IntervalForm.monomial(1, False) + IntervalForm.monomial(0, True)
-    g = IntervalForm.monomial(2, False)
-    out = f * g
-    assert out.p == (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    assert out.q == (Fraction(0), Fraction(0), Fraction(1))
 
 
 # -- connection and curvature ----------------------------------------------
@@ -119,12 +91,6 @@ def test_curvature_normal_form(chain2):
         (2, 0, (t, t)): 1.0,
         (1, 0, (t, t)): -1.0,
     }
-    # the form multiplying tau^2 is exactly t^2 - t
-    from cycfred.chern import interval_form_of
-    form = interval_form_of(theta, (t, t))
-    assert form.p == (Fraction(0), Fraction(-1), Fraction(1)) and form.q == ()
-    assert form.at(0) == 0 and form.at(1) == 0
-    assert interval_form_of(theta, (t,)).q == (Fraction(1),)
 
 
 def test_curvature_square_has_no_double_dt(chain2):
@@ -256,29 +222,16 @@ def test_restriction_intertwines_connections(chain2):
 # -- character components ----------------------------------------------------
 
 def test_top_component_is_exactly_zero(chain2, chain3):
-    rng = np.random.default_rng(44)
     for chain in (chain2, chain3):
         tensor = chern_component_tensor(chain, 0)
         assert np.abs(tensor.values).max() == 0.0
-        args = [rng.normal(size=chain.at.dim) for _ in range(chain.m + 1)]
-        assert chern_component(chain, 0, args) == 0.0
 
 
 def test_component_arity_checked(chain3):
     with pytest.raises(InputError):
-        chern_component(chain3, 1, [np.zeros(chain3.at.dim)] * 3)
+        chern_component_tensor(chain3, -1)
     with pytest.raises(InputError):
-        chern_component(chain3, 5, [np.zeros(chain3.at.dim)])
-
-
-def test_component_tensor_matches_pointwise_evaluation(chain3):
-    tensor = chern_component_tensor(chain3, 1).values
-    at = chain3.at
-    rng = np.random.default_rng(45)
-    for _ in range(4):
-        idx = tuple(rng.integers(0, at.dim, size=2))
-        args = [np.eye(at.dim)[i] for i in idx]
-        assert abs(chern_component(chain3, 1, args) - tensor[idx]) < 1e-12
+        chern_component_tensor(chain3, 5)
 
 
 @pytest.mark.parametrize("maker,m", [

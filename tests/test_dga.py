@@ -231,17 +231,3 @@ def test_induced_hom_requires_unitality():
     images[UNIT_IDX] = dga.zero(AT)
     with pytest.raises(InputError, match="unital"):
         dga.induced_hom(images, dga.tau(AT), dga.unit(AT))
-
-
-def test_trace_norm_report_is_finite(module_and_T):
-    mod, T = module_and_T
-    x = dga.element(AT, {((dga.DA, 0), (dga.T,)): 1.0, ((dga.T,), (dga.T,)): 2.0})
-    report = dga.trace_norm_report(mod, T, x)
-    assert len(report) == 2
-    assert all(np.isfinite(v) and v >= 0 for v in report.values())
-
-
-def test_word_str_format():
-    w = ((dga.A, 3), (dga.DA, 1), (dga.T,), (dga.T,))
-    assert dga.word_str(w) == "a3 . d(a1) . tau . tau"
-    assert dga.word_str((), coeff=2.0) == "(2.0) 1"

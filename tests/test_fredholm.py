@@ -14,7 +14,7 @@ from cycfred.fredholm import (
     is_degenerate,
     perturb,
     relax_summability,
-    rep_tilde,
+    rep_tilde_basis,
     schatten_norm,
     schatten_report,
     unitary_conjugate,
@@ -250,9 +250,7 @@ def test_summability_relaxation():
 
 def test_rep_tilde_sends_unit_to_identity():
     mod = random_reflection_module(4, UT, seed=16, m=2)
-    x = np.zeros(mod.algebra.dim + 1)
-    x[-1] = 1.0
-    assert np.abs(rep_tilde(mod, x) - np.eye(mod.n)).max() == 0.0
+    assert np.abs(rep_tilde_basis(mod)[-1] - np.eye(mod.n)).max() == 0.0
 
 
 def test_universal_embed_ungraded():

@@ -18,7 +18,6 @@ from cycfred.chern import (
     boundary_cycle_chern,
     chern_component_tensor,
     operator_boundary_character,
-    operator_component_tensor,
     witness_cochain,
 )
 from cycfred.errors import BudgetError, InputError
@@ -61,10 +60,18 @@ BOUNDARY_GRID = [g for g in GRID if g[4] == 0]
 def test_components_match_symbolic_route(label, algebra, m, seed, k_min):
     mod, T = _instance(algebra, m, seed)
     chain = PerturbationChain(mod, T)
+    psi = witness_cochain(mod, T)
+    unit = mod.algebra.dim                   # the adjoined unit is the last basis vector
     for k in range(k_min, m // 2 + 1):
         symbolic = chern_component_tensor(chain, k).values
-        operator = operator_component_tensor(mod, T, k).values
+        if k == 0:                           # the witness has no top component
+            assert np.abs(symbolic).max() == 0.0, label
+            continue
+        operator = psi.components[k - 1]
         assert operator.shape == symbolic.shape
+        if 2 * k == m:                       # the witness zeroes the unit entry of degree 0
+            assert operator[unit] == 0.0
+            operator, symbolic = np.delete(operator, unit), np.delete(symbolic, unit)
         assert np.abs(operator - symbolic).max() <= TOL, (label, k)
 
 
@@ -90,30 +97,26 @@ def test_index_cocycle_is_the_operator_boundary_character(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
-def test_operator_top_component_is_exactly_zero(m):
+def test_witness_has_no_top_component(m):
     mod, T = _instance(M2 if m == 6 else UT, m, seed=m)
-    top = operator_component_tensor(mod, T, 0).values
-    assert top.shape == (mod.algebra.dim + 1,) * (m + 1)
-    assert np.abs(top).max() == 0.0
-
-
-def test_witness_components_are_the_operator_components():
-    mod, T = _instance(UT, 5, seed=1)
     psi = witness_cochain(mod, T)
-    for k, comp in enumerate(psi.components, start=1):
-        assert np.array_equal(comp, operator_component_tensor(mod, T, k).values)
+    if m == 1:
+        assert psi is None
+        return
+    dim = mod.algebra.dim + 1
+    degrees = list(range(m - 2, -1, -2))
+    assert [c.ndim - 1 for c in psi.components] == degrees
+    assert [c.shape for c in psi.components] == [(dim,) * (deg + 1) for deg in degrees]
+    if m % 2 == 0:
+        assert psi.components[-1][dim - 1] == 0.0
 
 
 def test_operator_component_checks_its_arguments():
     mod, T = _instance(UT, 3, seed=0)
     with pytest.raises(InputError):
-        operator_component_tensor(mod, T, 2)
+        witness_cochain(mod, 0.5 * np.eye(mod.n))   # G = F + T is no involution
     with pytest.raises(InputError):
-        operator_component_tensor(mod, T, -1)
-    with pytest.raises(InputError):
-        operator_component_tensor(mod, 0.5 * np.eye(mod.n), 1)   # G = F + T is no involution
-    with pytest.raises(InputError):
-        operator_component_tensor(mod, np.zeros((2, 2)), 1)
+        witness_cochain(mod, np.zeros((2, 2)))
 
 
 def _small_module(algebra, m):
@@ -126,8 +129,6 @@ def test_over_budget_degree_raises():
     mod = _small_module(UT, 10)              # degree 8 > MAX_DEGREE at k = 1
     T = np.zeros((2, 2))
     with pytest.raises(BudgetError):
-        operator_component_tensor(mod, T, 1)
-    with pytest.raises(BudgetError):
         operator_boundary_character(mod)
     with pytest.raises(BudgetError):
         witness_cochain(mod, T)
@@ -138,8 +139,7 @@ def test_over_budget_tensor_raises_before_any_allocation():
     # unitalized structure tensor (dim^3 complex, 5.7 MB) must not be built
     mod = _small_module(pointwise_algebra(70), 5)
     T = np.zeros((2, 2))
-    for call in (lambda: operator_component_tensor(mod, T, 1),
-                 lambda: operator_boundary_character(mod),
+    for call in (lambda: operator_boundary_character(mod),
                  lambda: witness_cochain(mod, T)):
         tracemalloc.start()
         try:

@@ -3,7 +3,9 @@ cycfred.cyclic (or algebra.ASSOC_TOL), and a tolerance keyword exists only
 where a caller sets it to more than one value.  The import policy: only
 `pair` loads scipy, the command line names nothing of the symbolic oracle,
 and importing the command line still loads every function the benchmark's
-tracer wraps."""
+tracer wraps.  The code policy: a top-level name of the package that no
+other package code names and the tracer does not wrap is on the TEST_ONLY
+table, with the reason it stays."""
 
 import ast
 import importlib.util
@@ -113,14 +115,21 @@ def test_only_pair_loads_scipy(tmp_path):
 
 # The symbolic route of cycfred.chern: the test oracle, which no command reaches
 SYMBOLIC_CHERN = {
-    "IntervalForm", "ChainElement", "chain_element", "chain_unit", "from_dga", "chain_mul",
-    "interval_form_of", "PerturbationChain", "connection_apply", "curvature",
-    "curvature_power", "graded_trace", "boundary_restrict", "boundary_connection",
-    "chern_component", "chern_component_tensor", "chern_character", "boundary_cycle_chern",
+    "ChainElement", "chain_element", "chain_unit", "from_dga", "chain_mul",
+    "PerturbationChain", "connection_apply", "curvature", "curvature_power",
+    "graded_trace", "boundary_restrict", "boundary_connection",
+    "chern_component_tensor", "chern_character", "boundary_cycle_chern",
     "verify_cobordism_identity",
 }
 SRC = Path(cycfred.__file__).resolve().parents[1]
 SPANS = SRC.parent / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 TRACER_PROBE = """
 import json, sys
@@ -137,9 +146,7 @@ def test_the_command_line_loads_every_traced_function():
     """perfbench/spans.py wraps its TRACED functions by name in sys.modules
     once perfbench/run.py has imported cycfred and cycfred.cli; a name that no
     longer resolves there would break --trace 1."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     assert spans.TRACED
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", TRACER_PROBE, json.dumps(spans.TRACED)],
@@ -161,3 +168,63 @@ def test_cli_names_nothing_of_the_symbolic_oracle():
         elif isinstance(node, ast.ImportFrom) and node.module:
             names.update(node.module.split("."))
     assert not names & ({"dga"} | SYMBOLIC_CHERN)
+
+
+def test_the_symbolic_names_exist():
+    assert SYMBOLIC_CHERN <= set(vars(chern))
+
+
+# (module, name) of every top-level function or class that no other package
+# code names and the tracer does not wrap, with the reason it stays: an
+# oracle for a production route, a construct of the paper, or a test input
+TEST_ONLY = {
+    ("algebra", "random_element"): "test input: random coefficient vectors",
+    ("algebra", "scalar_part"): "paper construct: the scalar part of the unitalization",
+    ("algebra", "zero_product_algebra"): "test input: a non-unital algebra",
+    ("algebra", "truncated_polynomial_algebra"): "test input: a nilpotent graded algebra",
+    ("chern", "graded_trace"): "paper construct: the graded trace on the chain",
+    ("chern", "boundary_restrict"): "paper construct: the chain at the endpoints t = 0, 1",
+    ("chern", "verify_cobordism_identity"): "oracle: (b + B) Ch(chain) = S Ch(boundary)",
+    ("cyclic", "evaluate_cochain"): "oracle: a cochain on coefficient vectors",
+    ("cyclic", "random_total"): "test input: random total cochains",
+    ("cyclic", "periodicity_S"): "paper construct: the periodicity operator S",
+    ("cyclic", "chain_boundary"): "oracle: the chain-side b, dual to hochschild_b",
+    ("dga", "induced_hom"): "paper construct: the universal DGA is functorial",
+    ("dga", "random_dga_element"): "test input: random DGA elements",
+    ("fredholm", "relax_summability"): "paper construct: m-summable is (m + 2)-summable",
+    ("fredholm", "check_stable_perturbation_certificate"):
+        "paper construct: a stable-perturbation certificate",
+    ("fredholm", "universal_embed"): "paper construct: the universal picture of a module",
+    ("models", "degenerate_module"): "test input: modules whose commutators vanish",
+    ("models", "winding_symbol"): "test input: band-limited winding symbols",
+    ("models", "sawtooth_log"): "test input: a logarithm of the pure winding phase",
+    ("models", "winding_by_phase"): "oracle: the winding number from phase increments",
+    ("models", "toeplitz_index_oracle"): "oracle: the symbol-side Toeplitz index",
+    ("pairing", "lattice_eq"): "oracle: equality of pairings modulo the period lattice",
+}
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _unreached(traced) -> set:
+    """(module, name) of each top-level function or class of the package,
+    __init__.py aside, that no code outside its own definition names (a
+    comment or a docstring does not count) and that traced does not hold."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "cycfred").glob("*.py")) if path.name != "__init__.py"}
+    statements = [(node, _names(node)) for tree in trees.values() for node in tree.body]
+    return {(mod, node.name) for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and (mod, node.name) not in traced
+            and not any(node.name in names for other, names in statements if other is not node)}
+
+
+def test_every_unreached_name_is_kept_for_a_reason():
+    # equality both ways: a new orphan fails, and so does a key whose name is
+    # gone or has become reached
+    assert _unreached(set(_spans().TRACED)) == set(TEST_ONLY)
+    assert {reason.split(":")[0] for reason in TEST_ONLY.values()} <= {
+        "oracle", "paper construct", "test input"}
